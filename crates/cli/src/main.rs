@@ -1006,10 +1006,9 @@ fn ingest_node(flags: &Flags) -> CliResult {
         None => None,
     };
 
-    let telemetry = Telemetry::from_flags(flags)?;
+    let mut telemetry = Telemetry::from_flags(flags)?;
     let metrics = telemetry.as_ref().map(|t| scd_net::NetMetrics::register(&t.registry));
-    let records = read_trace(&path)?;
-    let intervals = segment_records(&records, interval, KeySpec::DstIp, ValueSpec::Bytes);
+    let intervals = read_intervals(&path, interval, KeySpec::DstIp, ValueSpec::Bytes)?;
     let mut ingest = scd_net::IngestNode::new(scd_net::NodeConfig {
         node,
         nodes,
@@ -1021,9 +1020,12 @@ fn ingest_node(flags: &Flags) -> CliResult {
         fault,
         metrics,
     })?;
-    for items in &intervals {
+    for (t, items) in intervals.iter().enumerate() {
         ingest.push_slice(items)?;
         ingest.end_interval()?;
+        if let Some(tel) = telemetry.as_mut() {
+            tel.snapshot(t as u64)?;
+        }
     }
     let summary = ingest.finish(std::time::Duration::from_secs(finish_timeout))?;
     outln!(
@@ -1302,8 +1304,7 @@ fn serve(flags: &Flags) -> CliResult {
     };
     let server_options = scd_serve::ServerOptions { cache: !flags.has("no-cache") };
 
-    let records = read_trace(&path)?;
-    let intervals = segment_records(&records, interval, KeySpec::DstIp, ValueSpec::Bytes);
+    let intervals = read_intervals(&path, interval, KeySpec::DstIp, ValueSpec::Bytes)?;
     let archive_cfg = ArchiveConfig { max_sketches: budget, full_resolution, keys_per_epoch };
 
     let mut telemetry = Telemetry::from_flags(flags)?;

@@ -424,3 +424,67 @@ fn query_on_empty_archive_says_no_data() {
     std::fs::remove_file(&trace).ok();
     std::fs::remove_file(&hist).ok();
 }
+
+/// `ingest-node --metrics FILE` writes one snapshot line per closed
+/// interval, each carrying the sender counters, so a multi-process run's
+/// resend count can be read from the node's own telemetry.
+#[test]
+fn ingest_node_metrics_snapshot_every_interval() {
+    let trace = temp_trace("node-metrics");
+    let trace_s = trace.to_str().unwrap();
+    let (_, stderr, ok) = run(scd()
+        .args(["generate", "--profile", "small", "--hours", "0.1", "--interval", "60"])
+        .args(["--out", trace_s, "--seed", "5"]));
+    assert!(ok, "generate failed: {stderr}");
+
+    let err_path = trace.with_extension("agg-err");
+    let mut aggregator = scd()
+        .args(["aggregate", "--listen", "127.0.0.1:0", "--nodes", "1", "--model", "ewma:0.5"])
+        .args(["--k", "1024", "--timeout-secs", "60"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::fs::File::create(&err_path).expect("stderr file"))
+        .spawn()
+        .expect("spawn scd aggregate");
+    let prefix = "aggregating 1 nodes on ";
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let addr = loop {
+        let log = std::fs::read_to_string(&err_path).unwrap_or_default();
+        if let Some(line) = log.lines().find(|l| l.starts_with(prefix)) {
+            break line[prefix.len()..].trim().to_string();
+        }
+        if std::time::Instant::now() > deadline {
+            aggregator.kill().ok();
+            panic!("scd aggregate never printed its address: {log}");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+
+    let metrics = trace.with_extension("node-metrics.jsonl");
+    let spool = trace.with_extension("spool");
+    let (stdout, stderr, ok) = run(scd()
+        .args(["ingest-node", "--trace", trace_s, "--interval", "60", "--node", "0"])
+        .args(["--nodes", "1", "--connect", &addr, "--k", "1024"])
+        .args(["--spool", spool.to_str().unwrap(), "--metrics", metrics.to_str().unwrap()]));
+    assert!(ok, "ingest-node failed: {stderr}");
+    assert!(aggregator.wait().expect("aggregate exits").success(), "aggregate failed");
+
+    let shipped: usize = stdout
+        .split_whitespace()
+        .skip_while(|w| *w != "shipped")
+        .nth(1)
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no shipped count: {stdout}"));
+    assert!(shipped > 1, "{stdout}");
+    let snapshots = std::fs::read_to_string(&metrics).expect("metrics file");
+    let lines: Vec<&str> = snapshots.lines().collect();
+    assert_eq!(lines.len(), shipped, "one snapshot per interval:\n{snapshots}");
+    for (t, line) in lines.iter().enumerate() {
+        assert!(line.contains(&format!("\"interval\":{t}")), "line {t}: {line}");
+        assert!(line.contains("\"scd_net_frames_sent_total\":"), "line {t}: {line}");
+    }
+
+    for p in [&trace, &err_path, &metrics] {
+        std::fs::remove_file(p).ok();
+    }
+    std::fs::remove_dir_all(&spool).ok();
+}

@@ -28,6 +28,7 @@
 //! every received interval frame is acknowledged, including duplicates
 //! and stale arrivals, so node spools always drain.
 
+use crate::clock::Clock;
 use crate::frame::{Frame, FrameError, VERSION};
 use crate::metrics::NetMetrics;
 use crate::supervise::{CheckpointEvery, SupervisedDetector};
@@ -43,7 +44,7 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of the aggregation point.
 #[derive(Debug, Clone)]
@@ -60,10 +61,12 @@ pub struct AggregatorConfig {
     pub node_deadline: Duration,
     /// Main-loop poll cadence.
     pub tick: Duration,
-    /// Hard wall-clock bound on the whole run; on expiry everything
-    /// buffered is flushed through the ladder and the summary is marked
-    /// timed out.
+    /// Hard bound on the whole run; on expiry everything buffered is
+    /// flushed through the ladder and the summary is marked timed out.
     pub run_timeout: Duration,
+    /// Time source for `grace`, `node_deadline` and `run_timeout` (the
+    /// `tick` poll cadence always sleeps in real time).
+    pub clock: Clock,
     /// Optional detector checkpointing (enables mid-stream restart
     /// resume, exactly like the PR-1 streaming supervisor).
     pub checkpoint: Option<CheckpointEvery>,
@@ -86,6 +89,7 @@ impl AggregatorConfig {
             node_deadline: Duration::from_secs(2),
             tick: Duration::from_millis(5),
             run_timeout: Duration::from_secs(60),
+            clock: Clock::real(),
             checkpoint: None,
             restart: RestartPolicy::default(),
             fault: None,
@@ -214,7 +218,7 @@ impl Aggregator {
 
 /// Per-node liveness and stream-end bookkeeping.
 struct NodeState {
-    last_seen: Option<Instant>,
+    last_seen: Option<Duration>,
     bye: Option<u64>,
 }
 
@@ -226,34 +230,36 @@ fn aggregate_loop(
 ) -> Result<(Vec<EmittedInterval>, bool), NetError> {
     let n = config.nodes as usize;
     let rows = Arc::clone(detector.rows());
-    let start = Instant::now();
+    let clock = &config.clock;
+    let start = clock.now();
     let mut slots: BTreeMap<u64, Vec<Option<NodeSlot>>> = BTreeMap::new();
     let mut nodes: Vec<NodeState> =
         (0..n).map(|_| NodeState { last_seen: None, bye: None }).collect();
     let mut next_emit = resumed_from;
-    let mut waiting: Option<(u64, Instant)> = None;
+    let mut waiting: Option<(u64, Duration)> = None;
     let mut emitted: Vec<EmittedInterval> = Vec::new();
     let mut timed_out = false;
 
     loop {
+        let now = clock.now();
         // Drain everything the reader threads produced since last tick.
         while let Some(event) = rx.try_recv() {
             match event {
                 Event::Seen { node } => {
                     if let Some(state) = nodes.get_mut(node as usize) {
-                        state.last_seen = Some(Instant::now());
+                        state.last_seen = Some(now);
                     }
                 }
                 Event::Bye { node, total } => {
                     if let Some(state) = nodes.get_mut(node as usize) {
-                        state.last_seen = Some(Instant::now());
+                        state.last_seen = Some(now);
                         let prev = state.bye.unwrap_or(0);
                         state.bye = Some(prev.max(total));
                     }
                 }
                 Event::Interval { node, interval, slot } => {
                     if let Some(state) = nodes.get_mut(node as usize) {
-                        state.last_seen = Some(Instant::now());
+                        state.last_seen = Some(now);
                     } else {
                         continue; // out-of-range node id: frame ignored
                     }
@@ -274,12 +280,11 @@ fn aggregate_loop(
             }
         }
 
-        let now = Instant::now();
         let down: Vec<bool> = nodes
             .iter()
             .map(|s| match s.last_seen {
-                Some(seen) => now.duration_since(seen) > config.node_deadline,
-                None => now.duration_since(start) > config.node_deadline,
+                Some(seen) => now.saturating_sub(seen) > config.node_deadline,
+                None => now.saturating_sub(start) > config.node_deadline,
             })
             .collect();
         bump(config, |m| {
@@ -315,7 +320,7 @@ fn aggregate_loop(
                     } else {
                         match waiting {
                             Some((wt, since)) if wt == t => {
-                                now.duration_since(since) >= config.grace
+                                now.saturating_sub(since) >= config.grace
                             }
                             _ => {
                                 waiting = Some((t, now));
@@ -342,7 +347,7 @@ fn aggregate_loop(
         if all_accounted && drained {
             break;
         }
-        if start.elapsed() >= config.run_timeout {
+        if clock.now().saturating_sub(start) >= config.run_timeout {
             if timed_out {
                 // Second pass after the forced flush: stop for real.
                 break;

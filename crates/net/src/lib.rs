@@ -21,6 +21,8 @@
 //!   streaming pipeline uses, so detection restarts mid-stream.
 //! * [`Frame`] — the CRC-guarded, length-prefixed wire protocol, hostile
 //!   input treated the same way as every other decoder in the workspace.
+//! * [`Clock`] — the aggregator's time source: real time in production,
+//!   a manual clock that tests hold or advance.
 //! * [`NetMetrics`] — the plane's `scd-obs` metric inventory (lag,
 //!   retries, reconnects, recovered/partial intervals).
 //!
@@ -45,6 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod aggregator;
+pub mod clock;
 pub mod frame;
 pub mod metrics;
 pub mod sender;
@@ -52,6 +55,7 @@ pub mod spool;
 pub mod supervise;
 
 pub use aggregator::{AggregateSummary, Aggregator, AggregatorConfig, EmittedInterval};
+pub use clock::Clock;
 pub use frame::{Frame, FrameError, MAX_FRAME, VERSION};
 pub use metrics::{AggregatorMetrics, NetMetrics, SenderMetrics};
 pub use sender::{IngestNode, NodeConfig, NodeSummary};

@@ -84,8 +84,8 @@ pub struct IngestNode {
     connect_attempts: u32,
 }
 
-/// Read timeout on the node's socket: ack polling must never block an
-/// interval close for long.
+/// Cadence of [`IngestNode::finish`]'s wait for the last acks. Interval
+/// closes never wait: they drain only the acks already received.
 const ACK_POLL: Duration = Duration::from_millis(10);
 
 impl IngestNode {
@@ -165,7 +165,9 @@ impl IngestNode {
     }
 
     /// Closes the current interval: harvests both engines, builds the
-    /// parity sketch, spools the frame, and attempts transmission.
+    /// parity sketch, spools the frame, and attempts transmission. It then
+    /// consumes the acks that have already arrived, without waiting for
+    /// more, and resends any frame unacked for a full interval.
     /// Network failure is not an error here — the frame is durable in the
     /// spool and will be resent; only local failures (engine, disk)
     /// surface.
@@ -268,7 +270,6 @@ impl IngestNode {
             match TcpStream::connect(&self.config.addr) {
                 Ok(stream) => {
                     let _ = stream.set_nodelay(true);
-                    let _ = stream.set_read_timeout(Some(ACK_POLL));
                     self.conn = Some(stream);
                     self.inbuf.clear();
                     let hello = Frame::Hello {
@@ -392,33 +393,26 @@ impl IngestNode {
         }
     }
 
-    /// Drains whatever ack frames have arrived, without blocking longer
-    /// than the socket's short read timeout. Partial frames stay buffered
-    /// across polls, so a slow aggregator never desynchronizes the stream.
+    /// Drains the ack frames already received, without waiting for more:
+    /// the socket reads non-blocking until `WouldBlock`, then returns to
+    /// blocking mode so frame writes keep their backpressure. Partial
+    /// frames stay buffered across polls, so a slow aggregator never
+    /// desynchronizes the stream.
     fn poll_acks(&mut self) {
         let mut dead = false;
         if let Some(conn) = &mut self.conn {
             let mut chunk = [0u8; 4096];
-            loop {
+            dead = conn.set_nonblocking(true).is_err();
+            while !dead {
                 match conn.read(&mut chunk) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
+                    Ok(0) => dead = true,
                     Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        break
-                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
+                    Err(_) => dead = true,
                 }
             }
+            dead |= conn.set_nonblocking(false).is_err();
         }
         if dead {
             self.conn = None;

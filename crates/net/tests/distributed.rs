@@ -228,20 +228,31 @@ fn two_lost_nodes_yield_flagged_partial_over_surviving_shards() {
 /// while zero frames for an interval have arrived and the nodes that
 /// owe them are still inside their liveness deadlines, the aggregator
 /// has to keep waiting instead of emitting empty flagged partials.
+///
+/// The aggregator runs on a manual clock, so the outcome does not depend
+/// on how the scheduler spaces the frames: time jumps many grace windows
+/// while only the declaration is in, then holds still while the real
+/// plane ships every frame.
 #[test]
 fn declared_but_undelivered_intervals_wait_for_the_first_frame() {
-    use scd_net::{Frame, VERSION};
+    use scd_net::{Clock, Frame, VERSION};
     use std::io::Write;
 
+    let clock = Clock::manual();
     let config = AggregatorConfig {
         grace: Duration::from_millis(20),
         node_deadline: Duration::from_secs(10),
         run_timeout: Duration::from_secs(30),
+        clock: clock.clone(),
         ..AggregatorConfig::new(detector_config(), NODES)
     };
+    let (grace, run_timeout) = (config.grace, config.run_timeout);
     let aggregator = Aggregator::bind(config, "127.0.0.1:0").expect("bind");
     let addr = aggregator.local_addr().expect("addr").to_string();
-    let agg_thread = std::thread::spawn(move || aggregator.run().expect("aggregate"));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let agg_thread = std::thread::spawn(move || {
+        let _ = done_tx.send(aggregator.run().expect("aggregate"));
+    });
 
     // The straggler: node 0 from a previous run, nothing left to ship.
     let sketch = detector_config().sketch;
@@ -258,11 +269,14 @@ fn declared_but_undelivered_intervals_wait_for_the_first_frame() {
     stale.write_all(&Frame::Bye { node: 0, intervals_total: INTERVALS }.encode()).expect("bye");
     stale.flush().expect("flush");
 
-    // Let the declaration sit, many grace windows long, with zero
-    // interval frames delivered.
-    std::thread::sleep(Duration::from_millis(300));
+    // Let the aggregator loop take in the declaration, then move time
+    // many grace windows on (still far inside every node deadline) with
+    // zero interval frames delivered, and let the loop see that too.
+    std::thread::sleep(Duration::from_millis(100));
+    clock.advance(15 * grace);
+    std::thread::sleep(Duration::from_millis(100));
 
-    // Now the real plane ships everything.
+    // Now the real plane ships everything while the clock holds still.
     let spool = spool_dir("stale-bye");
     let mut node_threads = Vec::new();
     for id in 0..NODES {
@@ -293,7 +307,13 @@ fn declared_but_undelivered_intervals_wait_for_the_first_frame() {
         assert!(summary.unacked.is_empty(), "spool must drain: {:?}", summary.unacked);
     }
     drop(stale);
-    let summary = agg_thread.join().expect("aggregator thread");
+    // Held time never reaches the run timeout. Should the plane wedge,
+    // release it so the test fails on the assertions below, not by hanging.
+    let summary = done_rx.recv_timeout(Duration::from_secs(60)).unwrap_or_else(|_| {
+        clock.advance(run_timeout);
+        done_rx.recv().expect("aggregator result")
+    });
+    agg_thread.join().expect("aggregator thread");
     let _ = std::fs::remove_dir_all(&spool);
 
     assert_no_gaps(&summary);

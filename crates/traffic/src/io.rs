@@ -11,7 +11,7 @@
 //! experiment runs without paying CSV parsing costs.
 
 use crate::record::FlowRecord;
-use scd_hash::byteio::{put_u16, put_u32, put_u64, put_u8, Cursor};
+use scd_hash::byteio::{put_u16, put_u32, put_u64, put_u8};
 use scd_hash::{crc32, Crc32};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 
@@ -111,27 +111,30 @@ pub fn from_binary(data: &[u8]) -> Result<Vec<FlowRecord>, TraceIoError> {
     if body.len() % RECORD_LEN != 0 {
         return Err(TraceIoError::Truncated);
     }
-    let mut cur = Cursor::new(body);
-    let mut out = Vec::with_capacity(body.len() / RECORD_LEN);
-    while cur.remaining() > 0 {
-        // Field reads cannot fail: length is a whole number of records.
-        out.push(decode_record(&mut cur).map_err(|_| TraceIoError::Truncated)?);
-    }
-    Ok(out)
+    Ok(decode_records(body).collect())
 }
 
-/// Decodes one 31-byte record at the cursor.
-fn decode_record(c: &mut Cursor<'_>) -> Result<FlowRecord, scd_hash::byteio::ShortInput> {
-    Ok(FlowRecord {
-        timestamp_ms: c.u64()?,
-        src_ip: c.u32()?,
-        dst_ip: c.u32()?,
-        src_port: c.u16()?,
-        dst_port: c.u16()?,
-        protocol: c.u8()?,
-        bytes: c.u64()?,
-        packets: c.u32()?,
-    })
+/// Decodes a buffer holding a whole number of 31-byte records.
+fn decode_records(body: &[u8]) -> impl Iterator<Item = FlowRecord> + '_ {
+    body.chunks_exact(RECORD_LEN).map(|r| decode_record(r.try_into().expect("exact chunk")))
+}
+
+/// Decodes one 31-byte record. Every field sits at a constant offset in a
+/// fixed-size array, so the reads compile without bounds checks.
+fn decode_record(r: &[u8; RECORD_LEN]) -> FlowRecord {
+    let u16_at = |i: usize| u16::from_le_bytes(r[i..i + 2].try_into().expect("in bounds"));
+    let u32_at = |i: usize| u32::from_le_bytes(r[i..i + 4].try_into().expect("in bounds"));
+    let u64_at = |i: usize| u64::from_le_bytes(r[i..i + 8].try_into().expect("in bounds"));
+    FlowRecord {
+        timestamp_ms: u64_at(0),
+        src_ip: u32_at(8),
+        dst_ip: u32_at(12),
+        src_port: u16_at(16),
+        dst_port: u16_at(18),
+        protocol: r[20],
+        bytes: u64_at(21),
+        packets: u32_at(29),
+    }
 }
 
 /// Incremental binary-trace reader: decodes `SCDTRC02`/`SCDTRC01` streams
@@ -215,12 +218,9 @@ impl<R: Read> ChunkedTraceReader<R> {
             if decodable > 0 {
                 let take = decodable.min((max_records - appended).saturating_mul(RECORD_LEN));
                 self.crc.update(&self.pending[..take]);
-                let mut cur = Cursor::new(&self.pending[..take]);
-                while cur.remaining() > 0 {
-                    out.push(decode_record(&mut cur).map_err(|_| TraceIoError::Truncated)?);
-                    appended += 1;
-                    self.records_read += 1;
-                }
+                out.extend(decode_records(&self.pending[..take]));
+                appended += take / RECORD_LEN;
+                self.records_read += take / RECORD_LEN;
                 self.pending.drain(..take);
                 continue;
             }
