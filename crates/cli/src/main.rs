@@ -784,7 +784,8 @@ fn combine(flags: &Flags) -> CliResult {
 /// pushed through the bounded channel under the chosen overload policy,
 /// intervals are cut by event time, and (optionally) the detector state is
 /// checkpointed every N intervals so a crashed run resumes where it left
-/// off. Lifecycle events and drop counters are reported at the end.
+/// off. Reports and drop counters print as intervals close; the record
+/// count and lifecycle events are reported at the end.
 fn stream(flags: &Flags) -> CliResult {
     let path: String = flags.require("trace")?;
     let interval: u32 = flags.require("interval")?;
@@ -852,47 +853,34 @@ fn stream(flags: &Flags) -> CliResult {
         restart: RestartPolicy::default(),
         fault: None,
     });
-    let mut reports = Vec::new();
+    // Reports print as their intervals close: they are drained once per
+    // chunk. The report queue is unbounded, so a detector that closes many
+    // intervals at once never waits on a producer blocked on a full record
+    // queue.
     let mut events = Vec::new();
     let mut n_records = 0usize;
     {
-        // Drain as we go: the report channel is bounded, so collecting
-        // only at shutdown would deadlock once it fills while the record
-        // channel is also full (the detector blocks sending a report, the
-        // producer blocks sending a record, and neither can proceed).
-        let mut feed = |record: FlowRecord| -> Result<bool, Box<dyn std::error::Error>> {
-            n_records += 1;
-            if !handle.send(record) {
-                return Ok(false); // detector gave up; shutdown() reports why
-            }
+        let mut send = |chunk: &[FlowRecord]| -> Result<bool, Box<dyn std::error::Error>> {
+            n_records += chunk.len();
+            let alive = handle.send_batch(chunk);
             while let Some(report) = handle.reports().try_recv() {
-                if let Some(t) = telemetry.as_mut() {
-                    t.snapshot(report.interval as u64)?;
-                }
-                reports.push(report);
+                emit_stream_report(&report, top, &mut telemetry)?;
             }
-            while let Some(event) = handle.events().try_recv() {
-                events.push(event);
-            }
-            Ok(true)
+            events.extend(std::iter::from_fn(|| handle.events().try_recv()));
+            Ok(alive) // false: detector gave up; shutdown() reports why
         };
         if chunked {
             let mut reader = ChunkedTraceReader::new(File::open(&path)?)?;
             let mut chunk = Vec::with_capacity(READ_CHUNK_RECORDS);
-            'trace: loop {
+            loop {
                 chunk.clear();
-                if reader.next_chunk(READ_CHUNK_RECORDS, &mut chunk)? == 0 {
+                if reader.next_chunk(READ_CHUNK_RECORDS, &mut chunk)? == 0 || !send(&chunk)? {
                     break;
-                }
-                for &record in &chunk {
-                    if !feed(record)? {
-                        break 'trace;
-                    }
                 }
             }
         } else {
-            for record in records {
-                if !feed(record)? {
+            for chunk in records.chunks(READ_CHUNK_RECORDS) {
+                if !send(chunk)? {
                     break;
                 }
             }
@@ -900,32 +888,12 @@ fn stream(flags: &Flags) -> CliResult {
     }
     let (tail_reports, tail_events, processed) =
         handle.shutdown().map_err(|e| FlagError(format!("stream failed: {e}")))?;
-    if let Some(t) = telemetry.as_mut() {
-        for report in &tail_reports {
-            t.snapshot(report.interval as u64)?;
-        }
+    for report in &tail_reports {
+        emit_stream_report(report, top, &mut telemetry)?;
     }
-    reports.extend(tail_reports);
     events.extend(tail_events);
 
     outln!("streamed {n_records} records; detector processed {processed}");
-    for report in &reports {
-        print_alarms(
-            report.interval,
-            report.alarms.iter().map(|a| (a.key, a.estimated_error)),
-            top,
-        );
-        let drops = report.drops;
-        if drops.lost() > 0 || drops.sampled_in > 0 {
-            outln!(
-                "  interval {}: dropped {} shed {} sampled-in {}",
-                report.interval,
-                drops.dropped,
-                drops.shed,
-                drops.sampled_in
-            );
-        }
-    }
     for event in &events {
         match event {
             LifecycleEvent::Started => {}
@@ -937,6 +905,27 @@ fn stream(flags: &Flags) -> CliResult {
     }
     if let Some(t) = telemetry {
         t.finish()?;
+    }
+    Ok(())
+}
+
+/// [`emit_report`] for `stream`, plus the interval's overload counters
+/// when anything was dropped, shed or sampled.
+fn emit_stream_report(
+    report: &IntervalReport,
+    top: usize,
+    telemetry: &mut Option<Telemetry>,
+) -> CliResult {
+    emit_report(report, top, telemetry, &mut None)?;
+    let drops = report.drops;
+    if drops.lost() > 0 || drops.sampled_in > 0 {
+        outln!(
+            "  interval {}: dropped {} shed {} sampled-in {}",
+            report.interval,
+            drops.dropped,
+            drops.shed,
+            drops.sampled_in
+        );
     }
     Ok(())
 }

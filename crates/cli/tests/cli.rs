@@ -232,29 +232,13 @@ fn archive_query_workflow() {
     std::fs::remove_file(&hist).ok();
 }
 
-/// `scd stream` over a trace with more event-time intervals than the
-/// bounded report channel holds (64). The CLI must drain reports while it
-/// is still sending records; collecting them only at shutdown deadlocks —
-/// detector blocked sending a report, producer blocked sending a record.
-#[test]
-fn stream_with_many_intervals_does_not_deadlock() {
-    let trace = temp_trace("stream-many");
-    let trace_s = trace.to_str().unwrap();
-    // 1.5 hours at 60s intervals = 90 intervals > 64.
-    let (_, stderr, ok) = run(scd()
-        .args(["generate", "--profile", "small", "--hours", "1.5", "--interval", "60"])
-        .args(["--out", trace_s, "--seed", "11"]));
-    assert!(ok, "generate failed: {stderr}");
-
-    // Stdout goes to a file so a full pipe can never masquerade as the
-    // deadlock this test is hunting.
-    let out_path = trace.with_extension("out");
-    let out_file = std::fs::File::create(&out_path).expect("stdout file");
-    let mut child = scd()
-        .args(["stream", "--trace", trace_s, "--interval", "60", "--model", "ewma:0.5"])
-        .stdout(out_file)
-        .spawn()
-        .expect("spawn scd stream");
+/// Runs `scd stream` with `args`, failing the test if it has not exited
+/// within 120 s. Stdout goes to a file so a full pipe can never
+/// masquerade as the deadlock these tests hunt. Returns stdout.
+fn stream_with_watchdog(args: &[&str], out_path: &std::path::Path) -> String {
+    let out_file = std::fs::File::create(out_path).expect("stdout file");
+    let mut child =
+        scd().arg("stream").args(args).stdout(out_file).spawn().expect("spawn scd stream");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
     let status = loop {
         match child.try_wait().expect("poll scd stream") {
@@ -267,10 +251,103 @@ fn stream_with_many_intervals_does_not_deadlock() {
         }
     };
     assert!(status.success(), "stream exited with failure");
-    let stdout = std::fs::read_to_string(&out_path).expect("read stream output");
+    let stdout = std::fs::read_to_string(out_path).expect("read stream output");
+    std::fs::remove_file(out_path).ok();
+    stdout
+}
+
+/// `scd stream` over 90 event-time intervals: the detector emits reports
+/// while the CLI is still sending records, and neither side may end up
+/// waiting on the other.
+#[test]
+fn stream_with_many_intervals_does_not_deadlock() {
+    let trace = temp_trace("stream-many");
+    let trace_s = trace.to_str().unwrap();
+    // 1.5 hours at 60s intervals = 90 intervals.
+    let (_, stderr, ok) = run(scd()
+        .args(["generate", "--profile", "small", "--hours", "1.5", "--interval", "60"])
+        .args(["--out", trace_s, "--seed", "11"]));
+    assert!(ok, "generate failed: {stderr}");
+
+    let stdout = stream_with_watchdog(
+        &["--trace", trace_s, "--interval", "60", "--model", "ewma:0.5"],
+        &trace.with_extension("out"),
+    );
     assert!(stdout.contains("streamed"), "{stdout}");
     std::fs::remove_file(&trace).ok();
-    std::fs::remove_file(&out_path).ok();
+}
+
+/// An event-time jump of 200 intervals while the record queue is full:
+/// the detector closes 200 intervals in one step, and must not block on
+/// a report queue nobody drains while the producer blocks on the full
+/// record queue.
+#[test]
+fn stream_survives_event_time_gap_with_full_queue() {
+    let trace = temp_trace("stream-gap").with_extension("csv");
+    let mut csv =
+        String::from("timestamp_ms,src_ip,dst_ip,src_port,dst_port,protocol,bytes,packets\n");
+    for base in [0u64, 200_000] {
+        for i in 0..20_000u64 {
+            let ts = base + i * 999 / 20_000;
+            csv.push_str(&format!(
+                "{ts},{},{},1234,80,6,{},1\n",
+                i % 97 + 1,
+                i % 503 + 1,
+                100 + i % 1_000
+            ));
+        }
+    }
+    std::fs::write(&trace, csv).expect("write gap trace");
+
+    let trace_s = trace.to_str().unwrap();
+    let args =
+        ["--trace", trace_s, "--interval", "1", "--model", "ewma:0.5", "--h", "3", "--k", "1024"];
+    let stdout = stream_with_watchdog(&args, &trace.with_extension("out"));
+    assert!(stdout.contains("streamed 40000 records; detector processed 40000"), "{stdout}");
+    std::fs::remove_file(&trace).ok();
+}
+
+/// Stream reports print as their intervals close, in interval order, and
+/// the run summary comes after the last of them — the same report lines
+/// `detect` prints, in the same order.
+#[test]
+fn stream_prints_reports_in_order_then_summary() {
+    let trace = temp_trace("stream-order");
+    let trace_s = trace.to_str().unwrap();
+    let (_, stderr, ok) = run(scd()
+        .args(["generate", "--profile", "small", "--hours", "0.5", "--interval", "60"])
+        .args(["--out", trace_s, "--dos", "10:12:2:30", "--seed", "7"]));
+    assert!(ok, "generate failed: {stderr}");
+    let common = ["--trace", trace_s, "--interval", "60", "--model", "ewma:0.5", "--k", "4096"];
+
+    let stdout = stream_with_watchdog(&common, &trace.with_extension("out"));
+    let lines: Vec<&str> = stdout.lines().collect();
+    let report_related = |l: &&str| {
+        l.starts_with("interval ") || l.starts_with("  ALARM") || l.starts_with("  interval ")
+    };
+    let intervals: Vec<usize> = lines
+        .iter()
+        .filter_map(|l| l.strip_prefix("interval ")?.strip_suffix(':')?.parse().ok())
+        .collect();
+    assert!(intervals.len() > 5, "too few alarm blocks:\n{stdout}");
+    assert!(intervals.windows(2).all(|w| w[0] < w[1]), "blocks out of order: {intervals:?}");
+    let summary = lines
+        .iter()
+        .position(|l| l.starts_with("streamed "))
+        .unwrap_or_else(|| panic!("no summary:\n{stdout}"));
+    let last_report = lines.iter().rposition(report_related).expect("report lines");
+    assert!(last_report < summary, "report line after the summary:\n{stdout}");
+
+    let (detected, stderr, ok) = run(scd().arg("detect").args(common));
+    assert!(ok, "detect failed: {stderr}");
+    let report_lines = |out: &str| -> Vec<String> {
+        out.lines()
+            .filter(|l| l.starts_with("interval ") || l.starts_with("  ALARM"))
+            .map(String::from)
+            .collect()
+    };
+    assert_eq!(report_lines(&stdout), report_lines(&detected));
+    std::fs::remove_file(&trace).ok();
 }
 
 /// Live serving must agree with the offline archive byte for byte: run

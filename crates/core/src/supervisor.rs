@@ -23,14 +23,16 @@
 //! starting over from interval 0.
 //!
 //! The record channel lives *outside* the supervised region: producers
-//! keep their sender across restarts, and records queued at crash time
-//! are delivered to the restarted detector. What is lost is the
-//! checkpoint gap — intervals flushed after the last checkpoint — and the
-//! partially accumulated interval; the restarted detector resumes at the
-//! checkpointed position and re-emits from there, so the report stream
-//! has no holes, only a rewind.
+//! keep their sender across restarts, and records queued at crash time —
+//! in the channel or in the batch the crashed run had taken from it —
+//! are delivered to the restarted detector. What is lost is the record
+//! being binned when the panic struck, the checkpoint gap — intervals
+//! flushed after the last checkpoint — and the partially accumulated
+//! interval; the restarted detector resumes at the checkpointed position
+//! and re-emits from there, so the report stream has no holes, only a
+//! rewind.
 
-use crate::channel::{bounded, Receiver, Sender};
+use crate::channel::{bounded, unbounded, Receiver, Sender};
 use crate::checkpoint::Checkpoint;
 use crate::detector::{IntervalReport, SketchChangeDetector};
 use crate::streaming::{
@@ -156,6 +158,12 @@ impl SupervisedHandle {
         self.records.send(record)
     }
 
+    /// Sends records in order under the configured overload policy; see
+    /// [`RecordSender::send_batch`].
+    pub fn send_batch(&self, records: &[scd_traffic::FlowRecord]) -> bool {
+        self.records.send_batch(records)
+    }
+
     /// A cloneable sender for feeding records from multiple threads.
     pub fn sender(&self) -> RecordSender {
         self.records.clone()
@@ -198,7 +206,7 @@ fn emit(events: &Sender<LifecycleEvent>, event: LifecycleEvent) {
 /// [`crate::streaming::spawn`]).
 pub fn spawn_supervised(config: SupervisorConfig) -> SupervisedHandle {
     let (sender, record_rx, counters) = make_front_end(&config.stream);
-    let (report_tx, report_rx) = bounded::<IntervalReport>(64);
+    let (report_tx, report_rx) = unbounded::<IntervalReport>();
     let (event_tx, event_rx) = bounded::<LifecycleEvent>(256);
     let restart = config.restart;
     let ctx = LoopContext {
@@ -258,7 +266,9 @@ pub fn spawn_supervised(config: SupervisorConfig) -> SupervisedHandle {
                         // Rebuild state: from the last checkpoint when one
                         // is readable, from scratch otherwise. The
                         // half-mutated detector/binner from the panicked
-                        // run are discarded either way.
+                        // run are discarded either way, all but the
+                        // inbox of records not yet binned.
+                        let inbox = std::mem::take(&mut binner.inbox);
                         match recover(&ctx) {
                             Ok(Some((d, b))) => {
                                 detector = d;
@@ -275,6 +285,7 @@ pub fn spawn_supervised(config: SupervisorConfig) -> SupervisedHandle {
                                 (detector, binner) = fresh_state(&ctx);
                             }
                         }
+                        binner.inbox = inbox;
                         if let Some(m) = &ctx.config.metrics {
                             m.supervisor.restarts_total.inc();
                         }

@@ -425,3 +425,31 @@ fn fully_shed_tail_still_surfaces_drop_counters() {
     let admitted: u64 = reports.iter().map(|r| r.drops.sampled_in).sum();
     assert_eq!(shed + admitted, 50, "tail counters lost: {reports:?}");
 }
+
+/// A panic in the middle of a batch the detector has already taken off
+/// the channel loses only the record it struck: the rest of that batch
+/// reaches the restarted detector.
+#[test]
+fn panic_mid_batch_delivers_the_rest_of_the_batch() {
+    let handle = spawn_supervised(SupervisorConfig {
+        stream: streaming_config(None),
+        restart: RestartPolicy { max_restarts: 1, backoff_base_ms: 1, backoff_cap_ms: 1 },
+        fault: Some(FaultPlan::panic_at(15, "crash mid-batch")),
+    });
+    // One send_batch well under the channel capacity: the detector takes
+    // all 30 records in one batch.
+    let records: Vec<FlowRecord> =
+        (0..30u64).map(|i| record((i / 10) * 1_000 + i, (i % 4) as u32, 100 + i)).collect();
+    assert!(handle.send_batch(&records));
+    let (reports, events, processed) = handle.shutdown().expect("supervisor survives");
+    assert!(
+        events.iter().any(|e| matches!(e, LifecycleEvent::Restarted { resumed_intervals: 0, .. })),
+        "{events:?}"
+    );
+    // Record 15 died with the crashed run; records 16..=30 were binned by
+    // the fresh detector.
+    assert_eq!(processed, 15, "records after the crash point were lost");
+    // The restarted detector saw the rest of interval 1 and all of 2.
+    let after_restart: Vec<usize> = reports.iter().skip(1).map(|r| r.interval).collect();
+    assert_eq!(after_restart, vec![0, 1], "{reports:?}");
+}
