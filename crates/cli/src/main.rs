@@ -75,8 +75,8 @@ use scd_core::gridsearch::{search_model, GridSearchConfig};
 use scd_core::{
     segment_records, spawn_supervised, CheckpointPolicy, DetectorConfig, EngineConfig, GlrConfig,
     GlrEvent, KeyStrategy, LifecycleEvent, OverloadPolicy, RestartPolicy, ReversibleChangeDetector,
-    ReversibleConfig, ShardedEngine, SketchChangeDetector, StaggeredDetector, StreamSegmenter,
-    StreamingConfig, SupervisorConfig,
+    ReversibleConfig, ShardedEngine, StaggeredDetector, StreamSegmenter, StreamingConfig,
+    SupervisorConfig,
 };
 use scd_core::{IntervalReport, PipelineMetrics};
 use scd_forecast::{ModelKind, ModelSpec};
@@ -192,13 +192,15 @@ type Intervals = Vec<Vec<(u64, f64)>>;
 /// chunks straight into interval bins, no flat record vector — which is
 /// bit-identical to the materializing path (proven in
 /// `scd-core/tests/parallel_source.rs`). CSV traces fall back to the
-/// materializing reader.
+/// materializing reader. A zero width is a flag error, raised before the
+/// trace is opened.
 fn read_intervals(
     path: &str,
     interval: u32,
     key: KeySpec,
     value: ValueSpec,
 ) -> Result<Intervals, Box<dyn std::error::Error>> {
+    check_interval(interval)?;
     if path.ends_with(".csv") {
         let records = read_trace(path)?;
         return Ok(segment_records(&records, interval, key, value));
@@ -214,6 +216,14 @@ fn read_intervals(
         segmenter.push(&chunk);
     }
     Ok(segmenter.finish())
+}
+
+/// Every trace reader cuts intervals of at least one second.
+fn check_interval(interval: u32) -> Result<(), FlagError> {
+    if interval == 0 {
+        return Err(FlagError("--interval must be at least 1 second".into()));
+    }
+    Ok(())
 }
 
 /// Live telemetry for a `detect`/`stream` run: one registry feeding an
@@ -279,46 +289,96 @@ impl Telemetry {
     }
 }
 
-/// Optional canonical-report file (`--report-out FILE`): one
-/// [`IntervalReport::canonical_line`] per emitted interval. Two runs that
-/// produce bit-identical reports produce byte-identical files, which is
-/// what the distributed smoke test diffs against a single-box run.
-struct ReportSink(std::io::BufWriter<File>);
+/// Where a run's interval reports go: alarm lines on stdout (the `--top`
+/// largest per interval), plus the optional telemetry snapshots and
+/// canonical-report file.
+struct Sinks {
+    top: usize,
+    telemetry: Option<Telemetry>,
+    /// `--report-out FILE`: one [`IntervalReport::canonical_line`] per
+    /// emitted interval. Two runs that produce bit-identical reports
+    /// produce byte-identical files, which is what the distributed smoke
+    /// test diffs against a single-box run.
+    reports: Option<std::io::BufWriter<File>>,
+}
 
-impl ReportSink {
-    fn from_flags(flags: &Flags) -> Result<Option<ReportSink>, Box<dyn std::error::Error>> {
-        Ok(match flags.raw("report-out") {
-            Some(p) => Some(ReportSink(std::io::BufWriter::new(File::create(p)?))),
-            None => None,
-        })
+impl Sinks {
+    /// Opens the `--report-out` file, if one is named.
+    fn report_out(flags: &Flags) -> std::io::Result<Option<std::io::BufWriter<File>>> {
+        flags.raw("report-out").map(|p| File::create(p).map(std::io::BufWriter::new)).transpose()
     }
 
-    fn write(&mut self, report: &IntervalReport) -> std::io::Result<()> {
-        use std::io::Write as _;
-        writeln!(self.0, "{}", report.canonical_line())
+    /// Prints one report's alarms and records it.
+    fn emit(&mut self, report: &IntervalReport) -> CliResult {
+        print_alarms(
+            report.interval,
+            report.alarms.iter().map(|a| (a.key, a.estimated_error)),
+            self.top,
+        );
+        self.record(report.interval as u64, report)
     }
 
-    fn finish(mut self) -> std::io::Result<()> {
+    /// Stamps a telemetry snapshot for `interval` and appends the
+    /// report's canonical line.
+    fn record(&mut self, interval: u64, report: &IntervalReport) -> CliResult {
         use std::io::Write as _;
-        self.0.flush()
+        if let Some(t) = self.telemetry.as_mut() {
+            t.snapshot(interval)?;
+        }
+        if let Some(w) = self.reports.as_mut() {
+            writeln!(w, "{}", report.canonical_line())?;
+        }
+        Ok(())
+    }
+
+    /// Flushes both files and stops the scrape endpoint.
+    fn finish(self) -> CliResult {
+        use std::io::Write as _;
+        if let Some(t) = self.telemetry {
+            t.finish()?;
+        }
+        if let Some(mut w) = self.reports {
+            w.flush()?;
+        }
+        Ok(())
     }
 }
 
-/// Prints one report's alarms and, when telemetry is on, stamps a
-/// snapshot line for the interval it closes.
-fn emit_report(
-    report: &IntervalReport,
-    top: usize,
-    telemetry: &mut Option<Telemetry>,
-    sink: &mut Option<ReportSink>,
+/// The one driver loop behind `detect`, `archive` and `serve`: replays
+/// interval bins through the engine and emits each report as it closes.
+/// Every interval spans `slots` consecutive bins (GLR base slots; 1
+/// without GLR). Each bin is routed on `producers` threads and closed as
+/// a GLR slot, whose events print at once; then the interval closes,
+/// overlapped with the next interval's ingest on a pipelined engine.
+/// `pace_ms` sleeps after each interval, leaving `serve` clients a query
+/// window.
+fn replay(
+    engine: &mut ShardedEngine,
+    bins: &[Vec<(u64, f64)>],
+    slots: usize,
+    producers: usize,
+    pace_ms: u64,
+    sinks: &mut Sinks,
 ) -> CliResult {
-    print_alarms(report.interval, report.alarms.iter().map(|a| (a.key, a.estimated_error)), top);
-    if let Some(t) = telemetry.as_mut() {
-        t.snapshot(report.interval as u64)?;
+    let empty = Vec::new();
+    for t in 0..bins.len().div_ceil(slots) {
+        for s in 0..slots {
+            engine.push_slice_parallel(bins.get(t * slots + s).unwrap_or(&empty), producers)?;
+            engine.end_glr_slot();
+            print_glr_events(engine);
+        }
+        if let Some(report) = engine.end_interval_overlapped()? {
+            sinks.emit(&report)?;
+        }
+        print_glr_events(engine);
+        if pace_ms > 0 {
+            std::thread::sleep(std::time::Duration::from_millis(pace_ms));
+        }
     }
-    if let Some(s) = sink.as_mut() {
-        s.write(report)?;
+    if let Some(report) = engine.drain()? {
+        sinks.emit(&report)?;
     }
+    print_glr_events(engine);
     Ok(())
 }
 
@@ -428,8 +488,7 @@ fn tune(flags: &Flags) -> CliResult {
     let kind: ModelKind = flags.require::<String>("model")?.parse()?;
     let quiet = flags.has("quiet");
 
-    let records = read_trace(&path)?;
-    let intervals = segment_records(&records, interval, KeySpec::DstIp, ValueSpec::Bytes);
+    let intervals = read_intervals(&path, interval, KeySpec::DstIp, ValueSpec::Bytes)?;
     if intervals.is_empty() {
         return Err(FlagError("trace produced no intervals".into()).into());
     }
@@ -463,32 +522,85 @@ fn detect(flags: &Flags) -> CliResult {
     let shards: usize = flags.get("shards", 1)?;
     let source_threads: usize = flags.get("source-threads", 1)?;
     let pipeline = flags.has("pipeline");
-    let strategy = flags.raw("strategy").unwrap_or("twopass");
+    let glr_slots: usize = flags.get("glr", 0)?;
+    let glr_threshold: f64 = flags.get("glr-threshold", 16.0)?;
+    let glr_window: usize = flags.get("glr-window", 8)?;
+    let stagger: usize = flags.get("stagger", 0)?;
+    let sinks_requested =
+        flags.has("metrics") || flags.has("metrics-listen") || flags.has("report-out");
 
-    let intervals = read_intervals(&path, interval, KeySpec::DstIp, ValueSpec::Bytes)?;
+    // Every flag is checked before the trace is read. `None` is the
+    // reversible (deltoid) detector, which recovers keys without replay.
+    let key_strategy = match flags.raw("strategy").unwrap_or("twopass") {
+        "reversible" => None,
+        "twopass" => Some(KeyStrategy::TwoPass),
+        "next" => Some(KeyStrategy::NextInterval),
+        s if s.starts_with("sampled:") => {
+            let rate: f64 = s["sampled:".len()..]
+                .parse()
+                .map_err(|_| FlagError(format!("bad sampled rate in '{s}'")))?;
+            Some(KeyStrategy::Sampled { rate, seed: sketch_seed ^ 1 })
+        }
+        other => return Err(FlagError(format!("unknown strategy '{other}'")).into()),
+    };
+    // GLR base slots or stagger lanes split each interval; the trace is
+    // decoded once, at slot width.
+    let slots = glr_slots.max(stagger).max(1);
+    let split = if glr_slots > 0 { "glr" } else { "stagger" };
+    let twopass = matches!(key_strategy, Some(KeyStrategy::TwoPass));
+    // The sampler draws once per key in first-seen order, so its reports
+    // depend on intra-interval feed order; slot-granular GLR ingest would
+    // silently change them.
+    let sampled = matches!(key_strategy, Some(KeyStrategy::Sampled { .. }));
+    let unsupported = "--metrics / --metrics-listen / --report-out are not supported with";
+    let problems = [
+        (shards == 0, "--shards must be at least 1".to_string()),
+        (glr_slots > 0 && stagger > 0, "--glr and --stagger are mutually exclusive".into()),
+        (glr_slots == 1, "--glr needs at least 2 slots per interval".into()),
+        (stagger == 1, "--stagger needs at least 2 lanes".into()),
+        (
+            slots > 1 && interval % slots as u32 != 0,
+            format!("--interval {interval} is not divisible by --{split} {slots}"),
+        ),
+        (
+            key_strategy.is_none() && slots > 1,
+            "--glr / --stagger are not supported with --strategy reversible".into(),
+        ),
+        (key_strategy.is_none() && sinks_requested, format!("{unsupported} --strategy reversible")),
+        (
+            key_strategy.is_none() && (shards > 1 || pipeline || source_threads > 1),
+            "--strategy reversible runs single-threaded; drop --shards/--pipeline/--source-threads"
+                .into(),
+        ),
+        (
+            sampled && glr_slots > 0,
+            "--glr supports --strategy twopass|next (sampled is feed-order sensitive)".into(),
+        ),
+        (stagger > 0 && !twopass, "--stagger requires --strategy twopass".into()),
+        (
+            stagger > 0 && (shards > 1 || pipeline || source_threads > 1),
+            "--stagger runs single-threaded; drop --shards/--pipeline/--source-threads".into(),
+        ),
+        (stagger > 0 && sinks_requested, format!("{unsupported} --stagger")),
+    ];
+    if let Some((_, problem)) = problems.into_iter().find(|(bad, _)| *bad) {
+        return Err(FlagError(problem).into());
+    }
+
+    let bins = read_intervals(&path, interval / slots as u32, KeySpec::DstIp, ValueSpec::Bytes)?;
     outln!(
         "detecting over {} intervals of {interval}s (model {}, H={h}, K={k}, T={threshold})",
-        intervals.len(),
+        bins.len().div_ceil(slots),
         model.describe()
     );
 
-    let mut telemetry = Telemetry::from_flags(flags)?;
-    let mut sink = ReportSink::from_flags(flags)?;
-    if strategy == "reversible" {
-        if telemetry.is_some() || sink.is_some() {
-            return Err(FlagError(
-                "--metrics / --metrics-listen / --report-out are not supported \
-                 with --strategy reversible"
-                    .into(),
-            )
-            .into());
-        }
+    let Some(key_strategy) = key_strategy else {
         let mut det = ReversibleChangeDetector::new(ReversibleConfig {
             deltoid: DeltoidConfig { h, k, key_bits: 32, seed: sketch_seed },
             model,
             threshold,
         });
-        for items in &intervals {
+        for items in &bins {
             let report = det.process_interval(items);
             print_alarms(
                 report.interval,
@@ -497,18 +609,6 @@ fn detect(flags: &Flags) -> CliResult {
             );
         }
         return Ok(());
-    }
-
-    let key_strategy = match strategy {
-        "twopass" => KeyStrategy::TwoPass,
-        "next" => KeyStrategy::NextInterval,
-        s if s.starts_with("sampled:") => {
-            let rate: f64 = s["sampled:".len()..]
-                .parse()
-                .map_err(|_| FlagError(format!("bad sampled rate in '{s}'")))?;
-            KeyStrategy::Sampled { rate, seed: sketch_seed ^ 1 }
-        }
-        other => return Err(FlagError(format!("unknown strategy '{other}'")).into()),
     };
     let detector = DetectorConfig {
         sketch: SketchConfig { h, k, seed: sketch_seed },
@@ -516,45 +616,11 @@ fn detect(flags: &Flags) -> CliResult {
         threshold,
         key_strategy,
     };
-
-    let glr_slots: usize = flags.get("glr", 0)?;
-    let stagger: usize = flags.get("stagger", 0)?;
-    if glr_slots > 0 && stagger > 0 {
-        return Err(FlagError("--glr and --stagger are mutually exclusive".into()).into());
-    }
-
     if stagger > 0 {
         // Phase-shifted interval lanes (§6 "staggered intervals"): one
         // detector per phase offset, sharing slot sketches via linearity.
-        if stagger < 2 {
-            return Err(FlagError("--stagger needs at least 2 lanes".into()).into());
-        }
-        if interval % stagger as u32 != 0 {
-            return Err(FlagError(format!(
-                "--interval {interval} is not divisible by --stagger {stagger}"
-            ))
-            .into());
-        }
-        if !matches!(key_strategy, KeyStrategy::TwoPass) {
-            return Err(FlagError("--stagger requires --strategy twopass".into()).into());
-        }
-        if shards > 1 || pipeline {
-            return Err(FlagError(
-                "--stagger runs single-threaded; drop --shards/--pipeline".into(),
-            )
-            .into());
-        }
-        if telemetry.is_some() || sink.is_some() {
-            return Err(FlagError(
-                "--metrics / --metrics-listen / --report-out are not supported with --stagger"
-                    .into(),
-            )
-            .into());
-        }
-        let slot_bins =
-            read_intervals(&path, interval / stagger as u32, KeySpec::DstIp, ValueSpec::Bytes)?;
         let mut det = StaggeredDetector::new(detector, stagger);
-        for (s, items) in slot_bins.iter().enumerate() {
+        for (s, items) in bins.iter().enumerate() {
             for a in det.process_slot(items) {
                 outln!(
                     "slot {s}: lane {} ALARM {:<16} error {:+.0} bytes",
@@ -567,147 +633,56 @@ fn detect(flags: &Flags) -> CliResult {
         return Ok(());
     }
 
+    // Every other mode runs on the engine; one shard is the trivial case.
+    // Linearity makes the N-shard COMBINE bit-identical to one detector,
+    // --pipeline overlaps detection with the next interval's ingest, and
+    // --source-threads fans routing out over producer threads — same
+    // reports either way. With --glr, base slots feed per-slot ±1
+    // projections; provisional alarms print as they fire and are
+    // confirmed or retracted by the interval reports, which stay
+    // bit-identical to a run without GLR.
+    let mut sinks =
+        Sinks { top, telemetry: Telemetry::from_flags(flags)?, reports: Sinks::report_out(flags)? };
+    let mut config = EngineConfig::new(detector, shards);
     if glr_slots > 0 {
-        // Sub-interval GLR sequential detection: base slots of
-        // interval/slots seconds feed per-slot ±1 projections; provisional
-        // alarms print as they fire and are confirmed or retracted by the
-        // interval-close reports (which stay bit-identical to a no-GLR
-        // run).
-        if glr_slots < 2 {
-            return Err(FlagError("--glr needs at least 2 slots per interval".into()).into());
-        }
-        if interval % glr_slots as u32 != 0 {
-            return Err(FlagError(format!(
-                "--interval {interval} is not divisible by --glr {glr_slots}"
-            ))
-            .into());
-        }
-        if matches!(key_strategy, KeyStrategy::Sampled { .. }) {
-            // The sampler draws once per key in first-seen order, so its
-            // reports depend on intra-interval feed order; slot-granular
-            // ingest would silently change them.
-            return Err(FlagError(
-                "--glr supports --strategy twopass|next (sampled is feed-order sensitive)".into(),
-            )
-            .into());
-        }
-        let glr_threshold: f64 = flags.get("glr-threshold", 16.0)?;
-        let glr_window: usize = flags.get("glr-window", 8)?;
-        let glr_cfg =
-            GlrConfig { max_window: glr_window, ..GlrConfig::new(glr_threshold, sketch_seed) };
-        let slot_bins =
-            read_intervals(&path, interval / glr_slots as u32, KeySpec::DstIp, ValueSpec::Bytes)?;
-        let n_intervals = slot_bins.len().div_ceil(glr_slots);
-        let mut config = EngineConfig::new(detector, shards).with_glr(glr_cfg);
-        if pipeline {
-            config = config.with_pipeline();
-        }
-        if let Some(t) = &telemetry {
-            config = config.with_metrics(Arc::clone(&t.pipeline));
-        }
-        let mut engine = ShardedEngine::new(config)?;
-        let empty: Vec<(u64, f64)> = Vec::new();
-        for t in 0..n_intervals {
-            for s in 0..glr_slots {
-                let items = slot_bins.get(t * glr_slots + s).unwrap_or(&empty);
-                engine.push_slice_parallel(items, source_threads)?;
-                engine.end_glr_slot();
-                for e in engine.take_glr_events() {
-                    print_glr_event(&e);
-                }
-            }
-            if let Some(report) = engine.end_interval_overlapped()? {
-                emit_report(&report, top, &mut telemetry, &mut sink)?;
-            }
-            for e in engine.take_glr_events() {
-                print_glr_event(&e);
-            }
-        }
-        if let Some(report) = engine.drain()? {
-            emit_report(&report, top, &mut telemetry, &mut sink)?;
-        }
-        for e in engine.take_glr_events() {
-            print_glr_event(&e);
-        }
-        if let Some(t) = telemetry {
-            t.finish()?;
-        }
-        if let Some(s) = sink {
-            s.finish()?;
-        }
-        return Ok(());
+        config = config.with_glr(GlrConfig {
+            max_window: glr_window,
+            ..GlrConfig::new(glr_threshold, sketch_seed)
+        });
     }
-
-    if shards > 1 || pipeline {
-        // Sharded ingest through the bulk path; linearity makes the
-        // reports bit-identical to the single-threaded detector below.
-        // With --pipeline, detection runs on its own thread, overlapped
-        // with the next interval's ingest — same reports, same bits.
-        // With --source-threads N > 1, routing fans out over N producer
-        // threads (push_slice_parallel), still bit-identical.
-        let mut config = EngineConfig::new(detector, shards);
-        if pipeline {
-            config = config.with_pipeline();
-        }
-        if let Some(t) = &telemetry {
-            config = config.with_metrics(Arc::clone(&t.pipeline));
-        }
-        let mut engine = ShardedEngine::new(config)?;
-        for items in &intervals {
-            engine.push_slice_parallel(items, source_threads)?;
-            if let Some(report) = engine.end_interval_overlapped()? {
-                emit_report(&report, top, &mut telemetry, &mut sink)?;
-            }
-        }
-        if let Some(report) = engine.drain()? {
-            emit_report(&report, top, &mut telemetry, &mut sink)?;
-        }
-        if let Some(t) = telemetry {
-            t.finish()?;
-        }
-        if let Some(s) = sink {
-            s.finish()?;
-        }
-        return Ok(());
+    if pipeline {
+        config = config.with_pipeline();
     }
-    let mut det = SketchChangeDetector::new(detector);
-    if let Some(t) = &telemetry {
-        // Single-threaded run: no engine stages to time, but the detector
-        // counters/gauges (and the JSONL/scrape surfaces) still work.
-        det.set_metrics(Arc::clone(&t.pipeline.detector));
+    if let Some(t) = &sinks.telemetry {
+        config = config.with_metrics(Arc::clone(&t.pipeline));
     }
-    for items in &intervals {
-        let report = det.process_interval(items);
-        emit_report(&report, top, &mut telemetry, &mut sink)?;
-    }
-    if let Some(t) = telemetry {
-        t.finish()?;
-    }
-    if let Some(s) = sink {
-        s.finish()?;
-    }
-    Ok(())
+    let mut engine = ShardedEngine::new(config)?;
+    replay(&mut engine, &bins, slots, source_threads, 0, &mut sinks)?;
+    sinks.finish()
 }
 
-fn print_glr_event(e: &GlrEvent) {
+/// Prints the GLR events the engine has raised since the last call.
+fn print_glr_events(engine: &mut ShardedEngine) {
     let hint = |a: &scd_core::ProvisionalAlarm| {
         a.key_hint.map_or_else(|| "?".to_string(), |k| format_ipv4(k as u32))
     };
-    match e {
-        GlrEvent::Provisional { interval, alarm } => outln!(
-            "GLR provisional [interval {interval}] slot {} (onset {}, w={}) key {} stat {:.1}",
-            alarm.raised_slot,
-            alarm.onset_slot,
-            alarm.window,
-            hint(alarm),
-            alarm.statistic
-        ),
-        GlrEvent::Confirmed { interval, lead_slots, alarm } => outln!(
-            "GLR confirmed   [interval {interval}] key {} — {lead_slots} slot(s) before close",
-            hint(alarm)
-        ),
-        GlrEvent::Retracted { interval, alarm } => {
-            outln!("GLR retracted   [interval {interval}] key {}", hint(alarm))
+    for e in engine.take_glr_events() {
+        match e {
+            GlrEvent::Provisional { interval, alarm } => outln!(
+                "GLR provisional [interval {interval}] slot {} (onset {}, w={}) key {} stat {:.1}",
+                alarm.raised_slot,
+                alarm.onset_slot,
+                alarm.window,
+                hint(&alarm),
+                alarm.statistic
+            ),
+            GlrEvent::Confirmed { interval, lead_slots, alarm } => outln!(
+                "GLR confirmed   [interval {interval}] key {} — {lead_slots} slot(s) before close",
+                hint(&alarm)
+            ),
+            GlrEvent::Retracted { interval, alarm } => {
+                outln!("GLR retracted   [interval {interval}] key {}", hint(&alarm))
+            }
         }
     }
 }
@@ -732,8 +707,7 @@ fn sketch(flags: &Flags) -> CliResult {
     let k: usize = flags.get("k", 32_768)?;
     let sketch_seed: u64 = flags.get("sketch-seed", 0x5CD)?;
 
-    let records = read_trace(&path)?;
-    let intervals = segment_records(&records, interval, KeySpec::DstIp, ValueSpec::Bytes);
+    let intervals = read_intervals(&path, interval, KeySpec::DstIp, ValueSpec::Bytes)?;
     let items = intervals.get(at).ok_or_else(|| {
         FlagError(format!("interval {at} beyond trace ({} intervals)", intervals.len()))
     })?;
@@ -789,6 +763,7 @@ fn combine(flags: &Flags) -> CliResult {
 fn stream(flags: &Flags) -> CliResult {
     let path: String = flags.require("trace")?;
     let interval: u32 = flags.require("interval")?;
+    check_interval(interval)?;
     let model = ModelSpec::parse(&flags.require::<String>("model")?)?;
     let h: usize = flags.get("h", 5)?;
     let k: usize = flags.get("k", 32_768)?;
@@ -811,10 +786,10 @@ fn stream(flags: &Flags) -> CliResult {
         }
         other => return Err(FlagError(format!("unknown policy '{other}'")).into()),
     };
-    let checkpoint = flags.raw("checkpoint").map(|file| CheckpointPolicy {
-        path: file.into(),
-        every_intervals: flags.get("every", 10).unwrap_or(10),
-    });
+    let every = checkpoint_every(flags)?;
+    let checkpoint = flags
+        .raw("checkpoint")
+        .map(|file| CheckpointPolicy { path: file.into(), every_intervals: every });
 
     // --chunked streams the binary trace through ChunkedTraceReader in
     // fixed-size chunks (constant memory, no global sort). Generated
@@ -833,7 +808,7 @@ fn stream(flags: &Flags) -> CliResult {
         r
     };
 
-    let mut telemetry = Telemetry::from_flags(flags)?;
+    let mut sinks = Sinks { top, telemetry: Telemetry::from_flags(flags)?, reports: None };
     let handle = spawn_supervised(SupervisorConfig {
         stream: StreamingConfig {
             detector: DetectorConfig {
@@ -848,7 +823,7 @@ fn stream(flags: &Flags) -> CliResult {
             channel_capacity: capacity,
             overload,
             checkpoint,
-            metrics: telemetry.as_ref().map(|t| Arc::clone(&t.pipeline)),
+            metrics: sinks.telemetry.as_ref().map(|t| Arc::clone(&t.pipeline)),
         },
         restart: RestartPolicy::default(),
         fault: None,
@@ -864,7 +839,7 @@ fn stream(flags: &Flags) -> CliResult {
             n_records += chunk.len();
             let alive = handle.send_batch(chunk);
             while let Some(report) = handle.reports().try_recv() {
-                emit_stream_report(&report, top, &mut telemetry)?;
+                emit_stream_report(&report, &mut sinks)?;
             }
             events.extend(std::iter::from_fn(|| handle.events().try_recv()));
             Ok(alive) // false: detector gave up; shutdown() reports why
@@ -889,7 +864,7 @@ fn stream(flags: &Flags) -> CliResult {
     let (tail_reports, tail_events, processed) =
         handle.shutdown().map_err(|e| FlagError(format!("stream failed: {e}")))?;
     for report in &tail_reports {
-        emit_stream_report(report, top, &mut telemetry)?;
+        emit_stream_report(report, &mut sinks)?;
     }
     events.extend(tail_events);
 
@@ -903,20 +878,22 @@ fn stream(flags: &Flags) -> CliResult {
             other => outln!("lifecycle: {other:?}"),
         }
     }
-    if let Some(t) = telemetry {
-        t.finish()?;
-    }
-    Ok(())
+    sinks.finish()
 }
 
-/// [`emit_report`] for `stream`, plus the interval's overload counters
+/// `--every N`: the checkpoint cadence of `stream` and `aggregate`, in
+/// intervals (default 10).
+fn checkpoint_every(flags: &Flags) -> Result<u64, FlagError> {
+    match flags.get("every", 10)? {
+        0 => Err(FlagError("--every must be at least 1 interval".into())),
+        every => Ok(every),
+    }
+}
+
+/// [`Sinks::emit`] for `stream`, plus the interval's overload counters
 /// when anything was dropped, shed or sampled.
-fn emit_stream_report(
-    report: &IntervalReport,
-    top: usize,
-    telemetry: &mut Option<Telemetry>,
-) -> CliResult {
-    emit_report(report, top, telemetry, &mut None)?;
+fn emit_stream_report(report: &IntervalReport, sinks: &mut Sinks) -> CliResult {
+    sinks.emit(report)?;
     let drops = report.drops;
     if drops.lost() > 0 || drops.sampled_in > 0 {
         outln!(
@@ -1052,14 +1029,13 @@ fn aggregate(flags: &Flags) -> CliResult {
     let grace_ms: u64 = flags.get("grace-ms", 500)?;
     let node_timeout_ms: u64 = flags.get("node-timeout-ms", 2000)?;
     let timeout_secs: u64 = flags.get("timeout-secs", 60)?;
-    let checkpoint = flags.raw("checkpoint").map(|file| scd_net::CheckpointEvery {
-        path: file.into(),
-        every: flags.get("every", 10).unwrap_or(10),
-    });
+    let every = checkpoint_every(flags)?;
+    let checkpoint =
+        flags.raw("checkpoint").map(|file| scd_net::CheckpointEvery { path: file.into(), every });
 
-    let mut telemetry = Telemetry::from_flags(flags)?;
-    let mut sink = ReportSink::from_flags(flags)?;
-    let metrics = telemetry.as_ref().map(|t| scd_net::NetMetrics::register(&t.registry));
+    let mut sinks =
+        Sinks { top, telemetry: Telemetry::from_flags(flags)?, reports: Sinks::report_out(flags)? };
+    let metrics = sinks.telemetry.as_ref().map(|t| scd_net::NetMetrics::register(&t.registry));
     let config = scd_net::AggregatorConfig {
         grace: std::time::Duration::from_millis(grace_ms),
         node_deadline: std::time::Duration::from_millis(node_timeout_ms),
@@ -1093,12 +1069,7 @@ fn aggregate(flags: &Flags) -> CliResult {
                 emitted.recovered
             );
         }
-        if let Some(t) = telemetry.as_mut() {
-            t.snapshot(emitted.interval)?;
-        }
-        if let Some(s) = sink.as_mut() {
-            s.write(&emitted.report)?;
-        }
+        sinks.record(emitted.interval, &emitted.report)?;
     }
     outln!(
         "emitted {} intervals ({} resumed from checkpoint, {} detector restarts)",
@@ -1106,12 +1077,7 @@ fn aggregate(flags: &Flags) -> CliResult {
         summary.resumed_from,
         summary.detector_restarts
     );
-    if let Some(t) = telemetry {
-        t.finish()?;
-    }
-    if let Some(s) = sink {
-        s.finish()?;
-    }
+    sinks.finish()?;
     if summary.timed_out {
         return Err(FlagError("run timed out before every node finished".into()).into());
     }
@@ -1138,8 +1104,7 @@ fn archive(flags: &Flags) -> CliResult {
     let keys_per_epoch: usize = flags.get("keys", 64)?;
     let top: usize = flags.get("top", 10)?;
 
-    let records = read_trace(&path)?;
-    let intervals = segment_records(&records, interval, KeySpec::DstIp, ValueSpec::Bytes);
+    let intervals = read_intervals(&path, interval, KeySpec::DstIp, ValueSpec::Bytes)?;
     let mut engine = ShardedEngine::new(
         EngineConfig::new(
             DetectorConfig {
@@ -1160,17 +1125,7 @@ fn archive(flags: &Flags) -> CliResult {
         "archiving {} intervals of {interval}s across {shards} shards (budget {budget} sketches)",
         intervals.len()
     );
-    for items in &intervals {
-        // Bulk-route the whole interval, then cut it: the hot path stays
-        // inside push_slice (batched hashing, recycled buffers).
-        engine.push_slice(items)?;
-        let report = engine.end_interval()?;
-        print_alarms(
-            report.interval,
-            report.alarms.iter().map(|a| (a.key, a.estimated_error)),
-            top,
-        );
-    }
+    replay(&mut engine, &intervals, 1, 1, 0, &mut Sinks { top, telemetry: None, reports: None })?;
     let archive = engine.take_archive().expect("engine built with an archive");
     let (from, to) = archive.coverage().unwrap_or((0, 0));
     outln!(
@@ -1296,8 +1251,9 @@ fn serve(flags: &Flags) -> CliResult {
     let intervals = read_intervals(&path, interval, KeySpec::DstIp, ValueSpec::Bytes)?;
     let archive_cfg = ArchiveConfig { max_sketches: budget, full_resolution, keys_per_epoch };
 
-    let mut telemetry = Telemetry::from_flags(flags)?;
-    let serve_metrics = telemetry.as_ref().map(|t| scd_serve::ServeMetrics::register(&t.registry));
+    let mut sinks = Sinks { top, telemetry: Telemetry::from_flags(flags)?, reports: None };
+    let serve_metrics =
+        sinks.telemetry.as_ref().map(|t| scd_serve::ServeMetrics::register(&t.registry));
     let plane =
         scd_serve::ServingPlane::with_options(archive_cfg, serve_metrics.clone(), rebuild_mode)?;
 
@@ -1317,7 +1273,7 @@ fn serve(flags: &Flags) -> CliResult {
     if pipeline {
         config = config.with_pipeline();
     }
-    if let Some(t) = &telemetry {
+    if let Some(t) = &sinks.telemetry {
         config = config.with_metrics(Arc::clone(&t.pipeline));
     }
     let mut engine = ShardedEngine::new(config)?;
@@ -1337,18 +1293,7 @@ fn serve(flags: &Flags) -> CliResult {
         if pipeline { ", pipelined" } else { "" }
     );
 
-    for items in &intervals {
-        engine.push_slice(items)?;
-        if let Some(report) = engine.end_interval_overlapped()? {
-            emit_report(&report, top, &mut telemetry, &mut None)?;
-        }
-        if pace_ms > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(pace_ms));
-        }
-    }
-    if let Some(report) = engine.drain()? {
-        emit_report(&report, top, &mut telemetry, &mut None)?;
-    }
+    replay(&mut engine, &intervals, 1, 1, pace_ms, &mut sinks)?;
     if linger_secs > 0 {
         eprintln!("replay done; serving for {linger_secs}s more");
         std::thread::sleep(std::time::Duration::from_secs(linger_secs));
@@ -1359,10 +1304,7 @@ fn serve(flags: &Flags) -> CliResult {
         outln!("archive dumped to {out}");
     }
     drop(server);
-    if let Some(t) = telemetry {
-        t.finish()?;
-    }
-    Ok(())
+    sinks.finish()
 }
 
 /// Asks a running `scd serve` one question over the `SCDQ` protocol and

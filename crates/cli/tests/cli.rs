@@ -123,6 +123,49 @@ fn helpful_errors() {
     assert!(!ok);
     assert!(stderr.contains("bogus"), "{stderr}");
 
+    // Flag errors surface before the trace is read, naming the flag.
+    let trace = temp_trace("flagerrs");
+    let trace_s = trace.to_str().unwrap();
+    let (_, stderr, ok) = run(scd()
+        .args(["generate", "--profile", "small", "--hours", "0.1", "--interval", "60"])
+        .args(["--out", trace_s, "--seed", "3"]));
+    assert!(ok, "generate failed: {stderr}");
+    let detect = ["detect", "--trace", trace_s, "--interval", "60", "--model", "ewma:0.5"];
+    let (_, stderr, ok) =
+        run(scd().args(["detect", "--trace", trace_s, "--interval", "0", "--model", "ewma:0.5"]));
+    assert!(!ok && stderr.contains("--interval"), "{stderr}");
+    // Every other trace reader names a zero interval too instead of panicking.
+    for (cmd, model) in [("stream", "ewma:0.5"), ("tune", "ewma")] {
+        let (_, stderr, ok) =
+            run(scd().args([cmd, "--trace", trace_s, "--interval", "0", "--model", model]));
+        assert!(!ok && stderr.contains("--interval"), "{cmd}: {stderr}");
+    }
+    let (_, stderr, ok) =
+        run(scd().args(detect).args(["--strategy", "reversible", "--shards", "4"]));
+    assert!(!ok, "--strategy reversible --shards 4 accepted");
+    assert!(stderr.contains("--strategy reversible"), "{stderr}");
+    let (_, stderr, ok) = run(scd().args(detect).args(["--shards", "0"]));
+    assert!(!ok, "--shards 0 accepted");
+    assert!(stderr.contains("--shards"), "{stderr}");
+    let (stdout, stderr, ok) = run(scd().args(detect).args(["--glr", "7"]));
+    assert!(!ok, "--glr 7 accepted with --interval 60");
+    assert!(stderr.contains("--glr 7"), "{stderr}");
+    assert!(!stdout.contains("detecting over"), "banner printed before the flag check:\n{stdout}");
+    let checkpoint = trace.with_extension("ckpt");
+    let (_, stderr, ok) = run(scd()
+        .args(["stream", "--trace", trace_s, "--interval", "60", "--model", "ewma:0.5"])
+        .args(["--checkpoint", checkpoint.to_str().unwrap(), "--every", "banana"]));
+    assert!(!ok, "--every banana accepted");
+    assert!(stderr.contains("--every"), "{stderr}");
+    let (_, stderr, ok) = run(scd()
+        .args(["aggregate", "--listen", "127.0.0.1:0", "--nodes", "1", "--model", "ewma:0.5"])
+        .args(["--checkpoint", checkpoint.to_str().unwrap(), "--every", "0"])
+        .args(["--timeout-secs", "1"]));
+    assert!(!ok, "--every 0 accepted");
+    assert!(stderr.contains("--every"), "{stderr}");
+    std::fs::remove_file(&trace).ok();
+    std::fs::remove_file(&checkpoint).ok();
+
     // CSV round trip: generate csv, info reads it.
     let trace = temp_trace("csvgen");
     let csv = trace.with_extension("csv");
@@ -134,6 +177,41 @@ fn helpful_errors() {
     let (stdout, _, ok) = run(scd().args(["info", "--trace", csv_s]));
     assert!(ok && stdout.contains("records:"));
     std::fs::remove_file(&csv).ok();
+}
+
+/// The value of `"name":` in a flat JSON snapshot line.
+fn json_number(line: &str, name: &str) -> f64 {
+    let key = format!("\"{name}\":");
+    let start = line.find(&key).unwrap_or_else(|| panic!("{name} missing: {line}")) + key.len();
+    let rest = &line[start..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().unwrap_or_else(|_| panic!("{name} not a number: {line}"))
+}
+
+#[test]
+fn default_detect_metrics_time_the_engine_stages() {
+    // A plain `detect` (one shard, no pipeline) runs on the engine, so its
+    // snapshots carry the engine counters and stage timings.
+    let trace = temp_trace("metrics");
+    let trace_s = trace.to_str().unwrap();
+    let metrics = trace.with_extension("jsonl");
+    let (_, stderr, ok) = run(scd()
+        .args(["generate", "--profile", "small", "--hours", "0.2", "--interval", "60"])
+        .args(["--out", trace_s, "--seed", "11"]));
+    assert!(ok, "generate failed: {stderr}");
+    let (_, stderr, ok) = run(scd()
+        .args(["detect", "--trace", trace_s, "--interval", "60", "--model", "ewma:0.5"])
+        .args(["--metrics", metrics.to_str().unwrap()]));
+    assert!(ok, "detect failed: {stderr}");
+    let text = std::fs::read_to_string(&metrics).expect("metrics file");
+    let last = text.lines().rev().find(|l| !l.trim().is_empty()).expect("snapshot lines");
+    for name in
+        ["scd_engine_records_total", "scd_engine_barrier_ns_count", "scd_engine_detect_ns_count"]
+    {
+        assert!(json_number(last, name) > 0.0, "{name} is 0 on a default detect: {last}");
+    }
+    std::fs::remove_file(&trace).ok();
+    std::fs::remove_file(&metrics).ok();
 }
 
 #[test]

@@ -387,7 +387,7 @@ enum DetectBackend {
         detector: Box<SketchChangeDetector>,
         archive: Option<SketchArchive<KarySketch>>,
         /// Recycled merge destination — the "observed" sketch. `None`
-        /// only before the first interval.
+        /// before the first interval, and always with one shard.
         merged: Option<KarySketch>,
         /// Reused container for the per-interval shard sketches.
         shard_bufs: Vec<KarySketch>,
@@ -1097,15 +1097,22 @@ impl ShardedEngine {
         else {
             unreachable!("inline close on pipelined backend")
         };
-        let observed =
-            merged.get_or_insert_with(|| KarySketch::with_rows(Arc::clone(detector.rows())));
         let sw = Stopwatch::start();
-        merge_shards(observed, &bufs);
+        // A single shard's sketch already is the COMBINE: detect on it in
+        // place. It goes back to its worker after detection, which is
+        // still before the worker's next flush, since ingest waits here.
+        let observed = match bufs.as_slice() {
+            [only] => only,
+            _ => {
+                let merged = merged
+                    .get_or_insert_with(|| KarySketch::with_rows(Arc::clone(detector.rows())));
+                merge_shards(merged, &bufs);
+                merged
+            }
+        };
         if let Some(m) = &metrics {
             m.engine.combine_ns.record(sw.elapsed_ns());
         }
-        recycle_shards(&mut bufs, spare_txs);
-        *shard_bufs = bufs;
         let result = detect_interval(
             detector,
             archive.as_mut(),
@@ -1114,6 +1121,8 @@ impl ShardedEngine {
             keys,
             metrics.as_deref(),
         );
+        recycle_shards(&mut bufs, spare_txs);
+        *shard_bufs = bufs;
         if let Ok(report) = &result {
             self.glr_on_report(report);
         }

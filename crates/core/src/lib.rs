@@ -114,10 +114,7 @@ pub use reversible::{ReversibleChangeDetector, ReversibleConfig, ReversibleRepor
 pub use sampling::UpdateSampler;
 pub use staggered::{StaggeredAlarm, StaggeredDetector, StaggeredSnapshot};
 pub use stream::{segment_records, StreamSegmenter};
-pub use streaming::{
-    spawn as spawn_streaming, CheckpointPolicy, OverloadPolicy, RecordSender, StreamFault,
-    StreamingConfig, StreamingHandle,
-};
+pub use streaming::{CheckpointPolicy, OverloadPolicy, RecordSender, StreamFault, StreamingConfig};
 pub use supervisor::{
     spawn_supervised, LifecycleEvent, RestartPolicy, SupervisedHandle, SupervisorConfig,
 };

@@ -3,8 +3,9 @@
 //!
 //! The offline pipeline consumes pre-binned intervals; a live deployment
 //! consumes a **stream of flow records** and must bin, rotate, and detect
-//! as time advances. [`spawn`] runs the detector on its own thread behind
-//! a bounded channel ([`crate::channel`]):
+//! as time advances. [`crate::supervisor::spawn_supervised`] runs the
+//! detector on its own thread behind a bounded channel
+//! ([`crate::channel`]):
 //!
 //! ```text
 //! capture thread ──records──► [channel] ──► detector thread ──reports──►
@@ -46,12 +47,11 @@
 //! file.
 //!
 //! Shutdown: drop the record sender (or call
-//! [`StreamingHandle::shutdown`]). The detector flushes the final partial
-//! interval, emits its report, and the thread ends. A detector panic is
-//! returned as a typed [`StreamFault`] — shutting down is never itself a
-//! panic.
+//! [`SupervisedHandle::shutdown`](crate::supervisor::SupervisedHandle::shutdown)).
+//! The detector flushes the final partial interval, emits its report, and
+//! the thread ends.
 
-use crate::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
+use crate::channel::{bounded, Receiver, Sender, TrySendError};
 use crate::checkpoint::Checkpoint;
 use crate::detector::{DetectorConfig, DropStats, IntervalReport, SketchChangeDetector};
 use crate::sampling::UpdateSampler;
@@ -63,7 +63,6 @@ use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 /// What the record sender does when the detector cannot keep up.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -229,10 +228,10 @@ impl RecordSender {
     }
 }
 
-/// Why a detector thread stopped abnormally.
+/// Why a supervisor thread stopped abnormally.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StreamFault {
-    /// The detector thread panicked; the payload's message, if any.
+    /// The supervisor thread panicked; the payload's message, if any.
     Panicked(String),
 }
 
@@ -254,51 +253,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Handle to a running streaming detector.
-pub struct StreamingHandle {
-    /// Send flow records here; drop (or [`StreamingHandle::shutdown`]) to stop.
-    records: RecordSender,
-    /// Interval reports arrive here as event time advances.
-    reports: Receiver<IntervalReport>,
-    thread: JoinHandle<u64>,
-}
-
-impl StreamingHandle {
-    /// Sends one record under the configured overload policy. Returns
-    /// `false` if the detector thread has already stopped.
-    pub fn send(&self, record: FlowRecord) -> bool {
-        self.records.send(record)
-    }
-
-    /// Sends records in order under the configured overload policy; see
-    /// [`RecordSender::send_batch`].
-    pub fn send_batch(&self, records: &[FlowRecord]) -> bool {
-        self.records.send_batch(records)
-    }
-
-    /// A cloneable sender for feeding records from multiple threads.
-    pub fn sender(&self) -> RecordSender {
-        self.records.clone()
-    }
-
-    /// The report stream.
-    pub fn reports(&self) -> &Receiver<IntervalReport> {
-        &self.reports
-    }
-
-    /// Stops the detector, drains remaining reports, and returns them with
-    /// the total number of records processed. A detector panic surfaces as
-    /// `Err(StreamFault::Panicked)` — this method itself never panics.
-    pub fn shutdown(self) -> Result<(Vec<IntervalReport>, u64), StreamFault> {
-        drop(self.records);
-        let remaining: Vec<IntervalReport> = self.reports.iter().collect();
-        match self.thread.join() {
-            Ok(processed) => Ok((remaining, processed)),
-            Err(payload) => Err(StreamFault::Panicked(panic_message(payload.as_ref()))),
-        }
     }
 }
 
@@ -347,9 +301,8 @@ impl BinnerState {
 pub(crate) struct LoopContext {
     pub(crate) config: StreamingConfig,
     pub(crate) counters: Arc<OverloadCounters>,
-    /// Lifecycle events (checkpoint written / degraded); `None` outside
-    /// supervision.
-    pub(crate) events: Option<Sender<LifecycleEvent>>,
+    /// Lifecycle events (checkpoint written / degraded).
+    pub(crate) events: Sender<LifecycleEvent>,
     /// Test-only fault injection, threaded through the supervisor.
     pub(crate) fault: Option<FaultPlan>,
 }
@@ -447,8 +400,8 @@ pub(crate) fn run_loop(
 }
 
 /// Writes a checkpoint if the cadence says so. Write failures degrade
-/// (reported on the event channel when there is one) rather than kill the
-/// detector: losing durability is strictly better than losing detection.
+/// (reported on the event channel) rather than kill the detector: losing
+/// durability is strictly better than losing detection.
 fn maybe_checkpoint(detector: &SketchChangeDetector, binner: &mut BinnerState, ctx: &LoopContext) {
     let Some(policy) = &ctx.config.checkpoint else { return };
     let done = detector.intervals_processed() as u64;
@@ -471,19 +424,15 @@ fn maybe_checkpoint(detector: &SketchChangeDetector, binner: &mut BinnerState, c
             if let Some(m) = &ctx.config.metrics {
                 m.supervisor.checkpoints_total.inc();
             }
-            if let Some(events) = &ctx.events {
-                let _ = events.try_send(LifecycleEvent::CheckpointWritten { intervals: done });
-            }
+            let _ = ctx.events.try_send(LifecycleEvent::CheckpointWritten { intervals: done });
         }
         Err(e) => {
             if let Some(m) = &ctx.config.metrics {
                 m.supervisor.degraded_total.inc();
             }
-            if let Some(events) = &ctx.events {
-                let _ = events.try_send(LifecycleEvent::Degraded {
-                    reason: format!("checkpoint write failed: {e}"),
-                });
-            }
+            let _ = ctx.events.try_send(LifecycleEvent::Degraded {
+                reason: format!("checkpoint write failed: {e}"),
+            });
         }
     }
 }
@@ -507,42 +456,32 @@ pub(crate) fn make_front_end(
     (sender, rx, counters)
 }
 
-/// Spawns the detector thread.
-///
-/// For crash recovery (automatic restart from checkpoints), use
-/// [`crate::supervisor::spawn_supervised`] instead; this plain variant
-/// reports a detector panic once, at [`StreamingHandle::shutdown`].
-///
-/// # Panics
-/// Panics if `interval_ms == 0`, `channel_capacity == 0`, or the sampling
-/// rate is out of range, or on an invalid detector configuration.
-pub fn spawn(config: StreamingConfig) -> StreamingHandle {
-    let (sender, record_rx, counters) = make_front_end(&config);
-    let (report_tx, report_rx) = unbounded::<IntervalReport>();
-    let mut detector = SketchChangeDetector::new(config.detector.clone());
-    if let Some(m) = &config.metrics {
-        detector.set_metrics(Arc::clone(&m.detector));
-    }
-    let ctx = LoopContext { config, counters, events: None, fault: None };
-
-    let thread = std::thread::Builder::new()
-        .name("scd-streaming-detector".into())
-        .spawn(move || {
-            let mut binner = BinnerState::fresh();
-            run_loop(&mut detector, &mut binner, &ctx, &record_rx, &report_tx);
-            binner.processed
-        })
-        .expect("spawn detector thread");
-
-    StreamingHandle { records: sender, reports: report_rx, thread }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::detector::KeyStrategy;
+    use crate::supervisor::{
+        spawn_supervised, LifecycleEvent, RestartPolicy, SupervisedHandle, SupervisorConfig,
+    };
     use scd_forecast::ModelSpec;
     use scd_sketch::SketchConfig;
+
+    fn spawn(config: StreamingConfig) -> SupervisedHandle {
+        spawn_supervised(SupervisorConfig {
+            stream: config,
+            restart: RestartPolicy::default(),
+            fault: None,
+        })
+    }
+
+    /// Stops the detector; the reports and the processed-record count.
+    /// Fails if the detector panicked: the supervisor would have
+    /// restarted it, so the run emits more than its `Started` event.
+    fn shutdown(handle: SupervisedHandle) -> (Vec<IntervalReport>, u64) {
+        let (reports, events, processed) = handle.shutdown().expect("clean shutdown");
+        assert_eq!(events, vec![LifecycleEvent::Started], "detector did not run cleanly");
+        (reports, processed)
+    }
 
     fn config() -> StreamingConfig {
         StreamingConfig {
@@ -590,7 +529,7 @@ mod tests {
                 }
             }
         }
-        let (reports, processed) = handle.shutdown().expect("clean shutdown");
+        let (reports, processed) = shutdown(handle);
         assert_eq!(processed, 5 * 40 + 10);
         assert_eq!(reports.len(), 5, "one report per event-time interval");
         let spike_report = &reports[3];
@@ -607,7 +546,7 @@ mod tests {
         let handle = spawn(config());
         handle.send(record(100, 5, 1_000));
         handle.send(record(5_100, 5, 1_000)); // skips intervals 1..=4
-        let (reports, _) = handle.shutdown().expect("clean shutdown");
+        let (reports, _) = shutdown(handle);
         // Interval 0 + three empty (1,2,3,4) + final partial (5) = 6.
         assert_eq!(reports.len(), 6);
         // The disappearance registers as a negative error in interval 1.
@@ -622,7 +561,7 @@ mod tests {
         let handle = spawn(config());
         handle.send(record(2_500, 1, 10));
         handle.send(record(1_900, 1, 10)); // late by 600ms: accepted
-        let (reports, processed) = handle.shutdown().expect("clean shutdown");
+        let (reports, processed) = shutdown(handle);
         assert_eq!(processed, 2);
         assert_eq!(reports.len(), 1);
     }
@@ -630,7 +569,7 @@ mod tests {
     #[test]
     fn shutdown_with_no_records_is_clean() {
         let handle = spawn(config());
-        let (reports, processed) = handle.shutdown().expect("clean shutdown");
+        let (reports, processed) = shutdown(handle);
         assert!(reports.is_empty());
         assert_eq!(processed, 0);
     }
@@ -641,7 +580,7 @@ mod tests {
         for t in 0..4u64 {
             handle.send(record(t * 1000 + 10, 2, 100));
         }
-        let (reports, _) = handle.shutdown().expect("clean shutdown");
+        let (reports, _) = shutdown(handle);
         let idx: Vec<usize> = reports.iter().map(|r| r.interval).collect();
         assert_eq!(idx, vec![0, 1, 2, 3]);
     }
@@ -654,7 +593,7 @@ mod tests {
                 handle.send(record(t * 1000 + i, 7, 100));
             }
         }
-        let (reports, _) = handle.shutdown().expect("clean shutdown");
+        let (reports, _) = shutdown(handle);
         assert!(reports.iter().all(|r| r.drops == DropStats::default()));
     }
 
@@ -669,7 +608,7 @@ mod tests {
             handle.send(record(i % 1000, 7, 100));
         }
         handle.send(record(1_500, 7, 100));
-        let (reports, processed) = handle.shutdown().expect("clean shutdown");
+        let (reports, processed) = shutdown(handle);
         let admitted: u64 = reports.iter().map(|r| r.drops.sampled_in).sum();
         let shed: u64 = reports.iter().map(|r| r.drops.shed).sum();
         assert_eq!(admitted + shed, 2_001, "every record is either admitted or shed");
@@ -691,7 +630,7 @@ mod tests {
             assert!(handle.send(record(i % 500, 9, 10)));
         }
         handle.send(record(2_000, 9, 10)); // flush boundary
-        let (reports, processed) = handle.shutdown().expect("clean shutdown");
+        let (reports, processed) = shutdown(handle);
         let total_dropped: u64 = reports.iter().map(|r| r.drops.dropped).sum();
         assert_eq!(processed + total_dropped, 10_001);
     }
@@ -721,7 +660,7 @@ mod tests {
                 assert!(handle.send_batch(chunk));
             }
         }
-        handle.shutdown().expect("clean shutdown")
+        shutdown(handle)
     }
 
     #[test]
@@ -785,10 +724,11 @@ mod tests {
             assert!(handle.send_batch(&records));
             let _ = done_tx.send(handle.shutdown());
         });
-        let (reports, processed) = done_rx
+        let (reports, events, processed) = done_rx
             .recv_timeout(std::time::Duration::from_secs(60))
             .expect("streaming deadlocked on the gap")
             .expect("clean shutdown");
+        assert_eq!(events, vec![LifecycleEvent::Started], "detector did not run cleanly");
         assert_eq!(processed, 1_000);
         assert_eq!(reports.len(), 201, "interval 0, 199 empty ones, interval 200");
     }

@@ -1,12 +1,13 @@
 //! Supervised streaming: panic recovery with checkpoint restarts.
 //!
-//! [`spawn`](crate::streaming::spawn) runs the detector on a bare thread —
-//! a panic there surfaces only at shutdown, and everything the detector
-//! knew dies with it. A monitoring deployment wants the opposite: the
-//! detector is the component *least* allowed to disappear, precisely
-//! because it is the thing watching everything else.
+//! On a bare thread a detector panic would surface only at shutdown, and
+//! everything the detector knew would die with it. A monitoring
+//! deployment wants the opposite: the detector is the component *least*
+//! allowed to disappear, precisely because it is the thing watching
+//! everything else.
 //!
-//! [`spawn_supervised`] wraps the same detector loop in a supervisor that:
+//! [`spawn_supervised`] runs the streaming detector loop
+//! ([`crate::streaming`]) in a supervisor that:
 //!
 //! 1. catches panics (`catch_unwind`) instead of unwinding the thread,
 //! 2. restarts the detector from its last on-disk
@@ -202,8 +203,8 @@ fn emit(events: &Sender<LifecycleEvent>, event: LifecycleEvent) {
 /// Spawns a streaming detector under supervision.
 ///
 /// # Panics
-/// Panics on an invalid configuration (same rules as
-/// [`crate::streaming::spawn`]).
+/// Panics if `interval_ms == 0`, `channel_capacity == 0`, or the sampling
+/// rate is out of range, or on an invalid detector configuration.
 pub fn spawn_supervised(config: SupervisorConfig) -> SupervisedHandle {
     let (sender, record_rx, counters) = make_front_end(&config.stream);
     let (report_tx, report_rx) = unbounded::<IntervalReport>();
@@ -212,7 +213,7 @@ pub fn spawn_supervised(config: SupervisorConfig) -> SupervisedHandle {
     let ctx = LoopContext {
         config: config.stream,
         counters,
-        events: Some(event_tx.clone()),
+        events: event_tx.clone(),
         fault: config.fault,
     };
 

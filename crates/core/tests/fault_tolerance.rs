@@ -3,9 +3,9 @@
 //! the acceptance criteria of the robustness milestone.
 
 use scd_core::{
-    spawn_streaming, spawn_supervised, Checkpoint, CheckpointPolicy, DetectorConfig, KeyStrategy,
+    segment_records, spawn_supervised, Checkpoint, CheckpointPolicy, DetectorConfig, KeyStrategy,
     LifecycleEvent, OverloadPolicy, RestartPolicy, SketchChangeDetector, StreamingConfig,
-    SupervisorConfig,
+    SupervisedHandle, SupervisorConfig,
 };
 use scd_forecast::ModelSpec;
 use scd_sketch::SketchConfig;
@@ -50,6 +50,12 @@ fn record(ts: u64, dst: u32, bytes: u64) -> FlowRecord {
         bytes,
         packets: 1,
     }
+}
+
+/// A supervised streaming detector with the default restart policy and
+/// no injected fault.
+fn supervised(stream: StreamingConfig) -> SupervisedHandle {
+    spawn_supervised(SupervisorConfig { stream, restart: RestartPolicy::default(), fault: None })
 }
 
 fn streaming_config(checkpoint: Option<CheckpointPolicy>) -> StreamingConfig {
@@ -285,30 +291,30 @@ fn restart_budget_exhaustion_gives_up_cleanly() {
 }
 
 /// Supervision is transparent when nothing goes wrong: a supervised run
-/// and a plain run over the same stream produce identical reports.
+/// produces exactly the reports of the reference detector fed the same
+/// stream, binned by event time.
 #[test]
-fn supervised_clean_run_matches_plain_run() {
-    let send_all = |send: &dyn Fn(FlowRecord) -> bool| {
-        for t in 0..8u64 {
-            for i in 0..10u64 {
-                send(record(t * 1_000 + i * 90, (i % 4) as u32, 100 * (t + 1)));
-            }
-        }
-    };
-    let plain = spawn_streaming(streaming_config(None));
-    send_all(&|r| plain.send(r));
-    let (plain_reports, plain_n) = plain.shutdown().expect("clean");
+fn supervised_clean_run_matches_reference_detector() {
+    let records: Vec<FlowRecord> = (0..8u64)
+        .flat_map(|t| {
+            (0..10u64).map(move |i| record(t * 1_000 + i * 90, (i % 4) as u32, 100 * (t + 1)))
+        })
+        .collect();
+    let mut reference = SketchChangeDetector::new(detector_config());
+    let expected: Vec<_> = segment_records(&records, 1, KeySpec::DstIp, ValueSpec::Bytes)
+        .iter()
+        .map(|items| reference.process_interval(items))
+        .collect();
 
-    let supervised = spawn_supervised(SupervisorConfig {
-        stream: streaming_config(None),
-        restart: RestartPolicy::default(),
-        fault: None,
-    });
-    send_all(&|r| supervised.send(r));
-    let (sup_reports, events, sup_n) = supervised.shutdown().expect("clean");
+    let handle = supervised(streaming_config(None));
+    for &r in &records {
+        assert!(handle.send(r));
+    }
+    let (reports, events, processed) = handle.shutdown().expect("clean");
 
-    assert_eq!(plain_reports, sup_reports);
-    assert_eq!(plain_n, sup_n);
+    assert_eq!(reports.len(), 8);
+    assert_eq!(reports, expected);
+    assert_eq!(processed, records.len() as u64);
     assert_eq!(events, vec![LifecycleEvent::Started]);
 }
 
@@ -317,7 +323,7 @@ fn supervised_clean_run_matches_plain_run() {
 /// report sequence stays sequential.
 #[test]
 fn out_of_order_records_keep_interval_sequence() {
-    let handle = spawn_streaming(streaming_config(None));
+    let handle = supervised(streaming_config(None));
     // Interval 0 arrives interleaved out of order.
     for ts in [700u64, 100, 900, 300, 500] {
         handle.send(record(ts, 1, 100));
@@ -326,7 +332,8 @@ fn out_of_order_records_keep_interval_sequence() {
     handle.send(record(2_200, 1, 100));
     handle.send(record(1_800, 1, 100)); // late: folds into interval 2
     handle.send(record(2_600, 1, 100));
-    let (reports, processed) = handle.shutdown().expect("clean");
+    let (reports, events, processed) = handle.shutdown().expect("clean");
+    assert_eq!(events, vec![LifecycleEvent::Started]);
     assert_eq!(processed, 8);
     let idx: Vec<usize> = reports.iter().map(|r| r.interval).collect();
     assert_eq!(idx, vec![0, 1, 2], "sequential intervals: {idx:?}");
@@ -340,12 +347,13 @@ fn out_of_order_records_keep_interval_sequence() {
 #[test]
 fn intra_interval_order_is_irrelevant() {
     let run = |order: &[u64]| {
-        let handle = spawn_streaming(streaming_config(None));
+        let handle = supervised(streaming_config(None));
         for &i in order {
             handle.send(record(i * 7 % 1_000, (i % 5) as u32, 100 + i));
         }
         handle.send(record(1_500, 0, 1)); // flush boundary
-        let (reports, _) = handle.shutdown().expect("clean");
+        let (reports, events, _) = handle.shutdown().expect("clean");
+        assert_eq!(events, vec![LifecycleEvent::Started]);
         reports
     };
     let forward: Vec<u64> = (0..60).collect();
@@ -415,11 +423,12 @@ fn fully_shed_tail_still_surfaces_drop_counters() {
     // Rate low enough that (deterministically, for this seed) all 50
     // records are shed.
     cfg.overload = OverloadPolicy::Sample { rate: 1e-9, seed: 7 };
-    let handle = spawn_streaming(cfg);
+    let handle = supervised(cfg);
     for i in 0..50u64 {
         assert!(handle.send(record(i * 10, 1, 100)));
     }
-    let (reports, processed) = handle.shutdown().expect("clean");
+    let (reports, events, processed) = handle.shutdown().expect("clean");
+    assert_eq!(events, vec![LifecycleEvent::Started]);
     assert_eq!(processed, 0, "every record should have been shed");
     let shed: u64 = reports.iter().map(|r| r.drops.shed).sum();
     let admitted: u64 = reports.iter().map(|r| r.drops.sampled_in).sum();

@@ -1,29 +1,37 @@
 //! Raw packets to alarms: the §2.1 per-packet input path composed with the
 //! §6 streaming front end. Ethernet frames are built, parsed (checksum
-//! verified), projected to updates, and pushed through the threaded
-//! detector — the full "sit directly on a packet feed" deployment.
+//! verified), projected to updates, and pushed through the supervised
+//! threaded detector — the full "sit directly on a packet feed"
+//! deployment.
 
-use sketch_change::core::{spawn_streaming, OverloadPolicy, StreamingConfig};
+use sketch_change::core::{
+    spawn_supervised, LifecycleEvent, OverloadPolicy, RestartPolicy, StreamingConfig,
+    SupervisorConfig,
+};
 use sketch_change::prelude::*;
 use sketch_change::traffic::packet::{build_frame, parse_ethernet};
 use sketch_change::traffic::routes::RouteTable;
 
 #[test]
 fn frames_to_alarms_through_streaming_detector() {
-    let handle = spawn_streaming(StreamingConfig {
-        detector: DetectorConfig {
-            sketch: SketchConfig { h: 3, k: 2048, seed: 4 },
-            model: ModelSpec::Ewma { alpha: 0.5 },
-            threshold: 0.3,
-            key_strategy: KeyStrategy::TwoPass,
+    let handle = spawn_supervised(SupervisorConfig {
+        stream: StreamingConfig {
+            detector: DetectorConfig {
+                sketch: SketchConfig { h: 3, k: 2048, seed: 4 },
+                model: ModelSpec::Ewma { alpha: 0.5 },
+                threshold: 0.3,
+                key_strategy: KeyStrategy::TwoPass,
+            },
+            interval_ms: 1_000,
+            key: KeySpec::DstIp,
+            value: ValueSpec::Bytes,
+            channel_capacity: 1024,
+            overload: OverloadPolicy::Block,
+            checkpoint: None,
+            metrics: None,
         },
-        interval_ms: 1_000,
-        key: KeySpec::DstIp,
-        value: ValueSpec::Bytes,
-        channel_capacity: 1024,
-        overload: OverloadPolicy::Block,
-        checkpoint: None,
-        metrics: None,
+        restart: RestartPolicy::default(),
+        fault: None,
     });
 
     // Four event-time seconds of packets to two services; second 2 floods
@@ -66,7 +74,8 @@ fn frames_to_alarms_through_streaming_detector() {
             }
         }
     }
-    let (reports, processed) = handle.shutdown().expect("clean shutdown");
+    let (reports, events, processed) = handle.shutdown().expect("clean shutdown");
+    assert_eq!(events, vec![LifecycleEvent::Started], "detector did not run cleanly");
     assert_eq!(processed, 4 * 60 + 40);
     assert_eq!(reports.len(), 4);
     assert!(
