@@ -69,6 +69,19 @@ impl Flags {
     pub fn has(&self, name: &str) -> bool {
         self.map.contains_key(name)
     }
+
+    /// Fails on a flag that `usage` does not name, naming it (the first
+    /// in name order when there are several).
+    pub fn check_known(&self, usage: &str) -> Result<(), FlagError> {
+        let named = |name: &str| {
+            let mut words = usage.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            words.any(|w| w.strip_prefix("--") == Some(name))
+        };
+        match self.map.keys().filter(|name| !named(name)).min() {
+            Some(name) => Err(FlagError(format!("unknown flag --{name}"))),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -92,6 +105,14 @@ mod tests {
     fn missing_required_is_error() {
         let f = parse("");
         assert!(f.require::<String>("trace").is_err());
+    }
+
+    #[test]
+    fn unknown_flag_is_named() {
+        let f = parse("--trace t.bin --shards 4 --report-out r.txt");
+        assert!(f.check_known("--trace FILE [--shards N] [--report-out F]").is_ok());
+        let err = f.check_known("--trace FILE [--trace-shards N]").unwrap_err();
+        assert_eq!(err.to_string(), "unknown flag --report-out");
     }
 
     #[test]

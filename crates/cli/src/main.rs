@@ -1,50 +1,6 @@
-//! `scd` — sketch-based change detection from the command line.
-//!
-//! ```text
-//! scd generate --profile small --hours 1 --interval 60 --out trace.bin
-//!              [--scale X] [--seed N] [--dos RANK:START:DUR:MULT[,...]]
-//! scd info     --trace trace.bin
-//! scd tune     --trace trace.bin --interval 300 --model ewma [--paper]
-//! scd detect   --trace trace.bin --interval 300 --model ewma:0.5
-//!              [--h 5] [--k 32768] [--threshold 0.05] [--sketch-seed N]
-//!              [--strategy twopass|next|sampled:R|reversible] [--top N]
-//!              [--shards N] [--pipeline] [--source-threads N]
-//!              [--glr SLOTS] [--glr-threshold 16.0] [--glr-window 8]
-//!              [--stagger LANES]
-//!              [--metrics FILE] [--metrics-listen ADDR] [--report-out FILE]
-//! scd sketch   --trace trace.bin --interval 60 --at 7 --out s.sketch
-//!              [--h 5] [--k 32768] [--sketch-seed N]
-//! scd combine  --out sum.sketch A.sketch B.sketch ... [--query IP]
-//! scd stream   --trace trace.bin --interval 60 --model ewma:0.5
-//!              [--policy block|drop|sample:R] [--capacity N] [--chunked]
-//!              [--checkpoint FILE] [--every N] [--h 5] [--k 32768]
-//!              [--metrics FILE] [--metrics-listen ADDR]
-//! scd metrics  --from metrics.jsonl | --addr HOST:PORT
-//! scd ingest-node --trace trace.bin --interval 60 --node 0 --nodes 3
-//!              --connect HOST:PORT [--h 5] [--k 32768] [--sketch-seed N]
-//!              [--shards 2] [--spool DIR] [--fault SPEC] [--retries N]
-//!              [--finish-timeout-secs 60]
-//! scd aggregate --listen ADDR --nodes 3 --model ewma:0.5
-//!              [--h 5] [--k 32768] [--threshold 0.05] [--sketch-seed N]
-//!              [--report-out FILE] [--checkpoint FILE] [--every N]
-//!              [--grace-ms 500] [--node-timeout-ms 2000] [--timeout-secs 60]
-//!              [--top N] [--metrics FILE] [--metrics-listen ADDR]
-//! scd archive  --trace trace.bin --interval 60 --model ewma:0.5 --out hist.scda
-//!              [--shards 4] [--budget 64] [--full-res 8] [--keys 64]
-//!              [--h 5] [--k 32768] [--threshold 0.05] [--sketch-seed N]
-//! scd query    --archive hist.scda --from T1 --to T2
-//!              [--threshold 0.05] [--key IP] [--estimate IP] [--top N]
-//! scd serve    --trace trace.bin --interval 60 --model ewma:0.5 --listen ADDR
-//!              [--shards N] [--pipeline] [--budget 64] [--full-res 8] [--keys 64]
-//!              [--h 5] [--k 32768] [--threshold 0.05] [--sketch-seed N]
-//!              [--pace-ms N] [--linger-secs N] [--out hist.scda]
-//!              [--sync-rebuild] [--no-cache]
-//!              [--metrics FILE] [--metrics-listen ADDR]
-//! scd ask      --addr HOST:PORT (--estimate IP [--from T1 --to T2]
-//!              | --changed --from T1 --to T2 [--threshold 0.05]
-//!              | --history IP --from T1 --to T2
-//!              | --range --from T1 --to T2) [--top N] [--wait-secs N]
-//! ```
+//! `scd` — sketch-based change detection from the command line. Run it
+//! without arguments for every command and the flags it accepts
+//! ([`COMMANDS`]); any other flag is an error.
 //!
 //! Traces are the binary/CSV formats of `scd-traffic::io` (format chosen by
 //! file extension). `detect` prints one line per alarm; `tune` prints a
@@ -92,75 +48,125 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 fn usage() -> ExitCode {
+    let names: Vec<&str> = COMMANDS.iter().map(|(name, ..)| *name).collect();
+    eprintln!("usage: scd <{}> [flags]\n", names.join("|"));
+    for (name, _, flags) in COMMANDS {
+        for (i, line) in flags.lines().enumerate() {
+            eprintln!("{:<11} {}", if i == 0 { name } else { "" }, line.trim());
+        }
+    }
     eprintln!(
-        "usage: scd <generate|info|tune|detect> [flags]\n\n\
-         generate  --profile large|medium|small --out FILE [--hours H] [--interval S]\n\
-         \u{20}          [--scale X] [--seed N] [--dos RANK:START:DUR:MULT[,...]]\n\
-         info      --trace FILE\n\
-         tune      --trace FILE --interval S --model ma|sma|ewma|nshw|arima0|arima1\n\
-         \u{20}          [--paper] [--quiet]\n\
-         detect    --trace FILE --interval S --model SPEC [--h 5] [--k 32768]\n\
-         \u{20}          [--threshold 0.05] [--sketch-seed N] [--top N]\n\
-         \u{20}          [--strategy twopass|next|sampled:R|reversible] [--shards N]\n\
-         \u{20}          [--pipeline] [--source-threads N] [--metrics FILE]\n\
-         \u{20}          [--glr SLOTS] [--glr-threshold 16.0] [--glr-window 8]\n\
-         \u{20}          [--stagger LANES]\n\
-         \u{20}          [--metrics-listen ADDR] [--report-out FILE]\n\
-         sketch    --trace FILE --interval S --at T --out FILE [--h 5] [--k 32768]\n\
-         combine   --out FILE A.sketch B.sketch ... [--query IP]\n\
-         stream    --trace FILE --interval S --model SPEC [--policy block|drop|sample:R]\n\
-         \u{20}          [--capacity N] [--chunked] [--checkpoint FILE] [--every N]\n\
-         \u{20}          [--h 5] [--k 32768] [--metrics FILE] [--metrics-listen ADDR]\n\
-         metrics   --from metrics.jsonl | --addr HOST:PORT\n\
-         ingest-node --trace FILE --interval S --node I --nodes N --connect ADDR\n\
-         \u{20}          [--h 5] [--k 32768] [--sketch-seed N] [--shards 2] [--spool DIR]\n\
-         \u{20}          [--fault drop:3,dup:5,corrupt:7,trunc:9,delay:2:50] [--retries N]\n\
-         \u{20}          [--finish-timeout-secs 60]\n\
-         aggregate --listen ADDR --nodes N --model SPEC [--h 5] [--k 32768]\n\
-         \u{20}          [--threshold 0.05] [--sketch-seed N] [--report-out FILE]\n\
-         \u{20}          [--checkpoint FILE] [--every N] [--grace-ms 500]\n\
-         \u{20}          [--node-timeout-ms 2000] [--timeout-secs 60] [--top N]\n\
-         archive   --trace FILE --interval S --model SPEC --out FILE [--shards 4]\n\
-         \u{20}          [--budget 64] [--full-res 8] [--keys 64] [--h 5] [--k 32768]\n\
-         \u{20}          [--threshold 0.05] [--sketch-seed N]\n\
-         query     --archive FILE --from T1 --to T2 [--threshold 0.05]\n\
-         \u{20}          [--key IP] [--estimate IP] [--top N]\n\
-         serve     --trace FILE --interval S --model SPEC --listen ADDR [--shards N]\n\
-         \u{20}          [--pipeline] [--budget 64] [--full-res 8] [--keys 64] [--h 5]\n\
-         \u{20}          [--k 32768] [--threshold 0.05] [--sketch-seed N] [--pace-ms N]\n\
-         \u{20}          [--linger-secs N] [--out FILE] [--sync-rebuild] [--no-cache]\n\
-         \u{20}          [--metrics FILE] [--metrics-listen ADDR]\n\
-         ask       --addr HOST:PORT (--estimate IP [--from T1 --to T2] |\n\
-         \u{20}          --changed --from T1 --to T2 [--threshold 0.05] |\n\
-         \u{20}          --history IP --from T1 --to T2 | --range --from T1 --to T2)\n\
-         \u{20}          [--top N] [--wait-secs N]\n\n\
-         model SPEC syntax: ma:5 | ewma:0.5 | nshw:0.6:0.2 | arima0:0.7,-0.1/0.3 | shw:a:b:g:m"
+        "\nmodel SPEC syntax: ma:5 | ewma:0.5 | nshw:0.6:0.2 | arima0:0.7,-0.1/0.3 | shw:a:b:g:m"
     );
     ExitCode::from(2)
 }
+
+type Command = fn(&Flags) -> CliResult;
+
+/// Every command with its usage. The flags a usage names are the only
+/// ones the command accepts: any other is an error raised before the
+/// command runs, never silently dropped.
+const COMMANDS: &[(&str, Command, &str)] = &[
+    (
+        "generate",
+        generate,
+        "--profile large|medium|small --out FILE [--hours H] [--interval S]
+         [--scale X] [--seed N] [--dos RANK:START:DUR:MULT[,...]]",
+    ),
+    ("info", info, "--trace FILE"),
+    (
+        "tune",
+        tune,
+        "--trace FILE --interval S --model ma|sma|ewma|nshw|arima0|arima1
+         [--paper] [--quiet]",
+    ),
+    (
+        "detect",
+        detect,
+        "--trace FILE --interval S --model SPEC [--h 5] [--k 32768]
+         [--threshold 0.05] [--sketch-seed N] [--top N]
+         [--strategy twopass|next|sampled:R|reversible] [--shards N]
+         [--pipeline] [--source-threads N] [--stagger LANES]
+         [--glr SLOTS] [--glr-threshold 16.0] [--glr-window 8]
+         [--metrics FILE] [--metrics-listen ADDR] [--report-out FILE]",
+    ),
+    (
+        "sketch",
+        sketch,
+        "--trace FILE --interval S --at T --out FILE
+         [--h 5] [--k 32768] [--sketch-seed N]",
+    ),
+    ("combine", combine, "--out FILE A.sketch B.sketch ... [--query IP]"),
+    (
+        "stream",
+        stream,
+        "--trace FILE --interval S --model SPEC [--h 5] [--k 32768]
+         [--threshold 0.05] [--sketch-seed N] [--top N]
+         [--policy block|drop|sample:R] [--capacity N] [--chunked]
+         [--checkpoint FILE] [--every N] [--metrics FILE] [--metrics-listen ADDR]",
+    ),
+    ("metrics", metrics, "--from metrics.jsonl | --addr HOST:PORT"),
+    (
+        "ingest-node",
+        ingest_node,
+        "--trace FILE --interval S --node I --nodes N --connect ADDR
+         [--h 5] [--k 32768] [--sketch-seed N] [--shards 2] [--spool DIR]
+         [--fault drop:3,dup:5,corrupt:7,trunc:9,delay:2:50] [--retries N]
+         [--finish-timeout-secs 60] [--metrics FILE] [--metrics-listen ADDR]",
+    ),
+    (
+        "aggregate",
+        aggregate,
+        "--listen ADDR --nodes N --model SPEC [--h 5] [--k 32768]
+         [--threshold 0.05] [--sketch-seed N] [--top N] [--report-out FILE]
+         [--checkpoint FILE] [--every N] [--grace-ms 500]
+         [--node-timeout-ms 2000] [--timeout-secs 60]
+         [--metrics FILE] [--metrics-listen ADDR]",
+    ),
+    (
+        "archive",
+        archive,
+        "--trace FILE --interval S --model SPEC --out FILE [--shards 4]
+         [--budget 64] [--full-res 8] [--keys 64] [--h 5] [--k 32768]
+         [--threshold 0.05] [--sketch-seed N] [--top N]",
+    ),
+    (
+        "query",
+        query,
+        "--archive FILE --from T1 --to T2 [--threshold 0.05]
+         [--key IP] [--estimate IP] [--top N]",
+    ),
+    (
+        "serve",
+        serve,
+        "--trace FILE --interval S --model SPEC --listen ADDR [--shards N]
+         [--pipeline] [--budget 64] [--full-res 8] [--keys 64] [--h 5]
+         [--k 32768] [--threshold 0.05] [--sketch-seed N] [--top N] [--pace-ms N]
+         [--linger-secs N] [--out FILE] [--sync-rebuild] [--no-cache]
+         [--metrics FILE] [--metrics-listen ADDR]",
+    ),
+    (
+        "ask",
+        ask,
+        "--addr HOST:PORT (--estimate IP [--from T1 --to T2] |
+         --changed --from T1 --to T2 [--threshold 0.05] |
+         --history IP --from T1 --to T2 | --range --from T1 --to T2)
+         [--top N] [--wait-secs N]",
+    ),
+];
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else {
         return usage();
     };
+    let Some(&(_, run, usage_line)) = COMMANDS.iter().find(|(name, ..)| *name == cmd) else {
+        return usage();
+    };
     let flags = Flags::parse(args);
-    let result = match cmd.as_str() {
-        "generate" => generate(&flags),
-        "info" => info(&flags),
-        "tune" => tune(&flags),
-        "detect" => detect(&flags),
-        "sketch" => sketch(&flags),
-        "combine" => combine(&flags),
-        "stream" => stream(&flags),
-        "archive" => archive(&flags),
-        "query" => query(&flags),
-        "serve" => serve(&flags),
-        "ask" => ask(&flags),
-        "metrics" => metrics(&flags),
-        "ingest-node" => ingest_node(&flags),
-        "aggregate" => aggregate(&flags),
-        _ => return usage(),
+    let result = match flags.check_known(usage_line) {
+        Ok(()) => run(&flags),
+        Err(e) => Err(e.into()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -262,6 +268,12 @@ impl Telemetry {
             None => None,
         };
         Ok(Some(Telemetry { registry, pipeline, snapshots, line: String::new(), listener }))
+    }
+
+    /// The distributed plane's inventory, registered next to the
+    /// pipeline's.
+    fn net(&self) -> Arc<scd_net::NetMetrics> {
+        scd_net::NetMetrics::register_with(&self.registry, Arc::clone(&self.pipeline))
     }
 
     /// Appends one snapshot line stamped with `interval`.
@@ -869,7 +881,14 @@ fn stream(flags: &Flags) -> CliResult {
     events.extend(tail_events);
 
     outln!("streamed {n_records} records; detector processed {processed}");
-    for event in &events {
+    print_lifecycle(&events);
+    sinks.finish()
+}
+
+/// Prints a supervised run's lifecycle events (`stream`, `aggregate`);
+/// the start is implied.
+fn print_lifecycle(events: &[LifecycleEvent]) {
+    for event in events {
         match event {
             LifecycleEvent::Started => {}
             LifecycleEvent::CheckpointWritten { intervals } => {
@@ -878,7 +897,6 @@ fn stream(flags: &Flags) -> CliResult {
             other => outln!("lifecycle: {other:?}"),
         }
     }
-    sinks.finish()
 }
 
 /// `--every N`: the checkpoint cadence of `stream` and `aggregate`, in
@@ -973,7 +991,7 @@ fn ingest_node(flags: &Flags) -> CliResult {
     };
 
     let mut telemetry = Telemetry::from_flags(flags)?;
-    let metrics = telemetry.as_ref().map(|t| scd_net::NetMetrics::register(&t.registry));
+    let metrics = telemetry.as_ref().map(Telemetry::net);
     let intervals = read_intervals(&path, interval, KeySpec::DstIp, ValueSpec::Bytes)?;
     let mut ingest = scd_net::IngestNode::new(scd_net::NodeConfig {
         node,
@@ -1030,12 +1048,13 @@ fn aggregate(flags: &Flags) -> CliResult {
     let node_timeout_ms: u64 = flags.get("node-timeout-ms", 2000)?;
     let timeout_secs: u64 = flags.get("timeout-secs", 60)?;
     let every = checkpoint_every(flags)?;
-    let checkpoint =
-        flags.raw("checkpoint").map(|file| scd_net::CheckpointEvery { path: file.into(), every });
+    let checkpoint = flags
+        .raw("checkpoint")
+        .map(|file| CheckpointPolicy { path: file.into(), every_intervals: every });
 
     let mut sinks =
         Sinks { top, telemetry: Telemetry::from_flags(flags)?, reports: Sinks::report_out(flags)? };
-    let metrics = sinks.telemetry.as_ref().map(|t| scd_net::NetMetrics::register(&t.registry));
+    let metrics = sinks.telemetry.as_ref().map(Telemetry::net);
     let config = scd_net::AggregatorConfig {
         grace: std::time::Duration::from_millis(grace_ms),
         node_deadline: std::time::Duration::from_millis(node_timeout_ms),
@@ -1077,6 +1096,7 @@ fn aggregate(flags: &Flags) -> CliResult {
         summary.resumed_from,
         summary.detector_restarts
     );
+    print_lifecycle(&summary.events);
     sinks.finish()?;
     if summary.timed_out {
         return Err(FlagError("run timed out before every node finished".into()).into());

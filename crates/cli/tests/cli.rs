@@ -163,6 +163,17 @@ fn helpful_errors() {
         .args(["--timeout-secs", "1"]));
     assert!(!ok, "--every 0 accepted");
     assert!(stderr.contains("--every"), "{stderr}");
+    // A flag the command does not use is named, before the trace is read.
+    let report = trace.with_extension("unused-report");
+    let (_, stderr, ok) = run(scd()
+        .args(["stream", "--trace", "/nonexistent", "--interval", "60", "--model", "ewma:0.5"])
+        .args(["--report-out", report.to_str().unwrap()]));
+    assert!(!ok && stderr.contains("unknown flag --report-out"), "{stderr}");
+    assert!(!report.exists(), "stream created the --report-out file it does not write");
+    let (_, stderr, ok) = run(scd()
+        .args(["tune", "--trace", "/nonexistent", "--interval", "60", "--model", "ewma"])
+        .args(["--shards", "4"]));
+    assert!(!ok && stderr.contains("unknown flag --shards"), "{stderr}");
     std::fs::remove_file(&trace).ok();
     std::fs::remove_file(&checkpoint).ok();
 
@@ -593,27 +604,8 @@ fn ingest_node_metrics_snapshot_every_interval() {
     assert!(ok, "generate failed: {stderr}");
 
     let err_path = trace.with_extension("agg-err");
-    let mut aggregator = scd()
-        .args(["aggregate", "--listen", "127.0.0.1:0", "--nodes", "1", "--model", "ewma:0.5"])
-        .args(["--k", "1024", "--timeout-secs", "60"])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::fs::File::create(&err_path).expect("stderr file"))
-        .spawn()
-        .expect("spawn scd aggregate");
-    let prefix = "aggregating 1 nodes on ";
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    let addr = loop {
-        let log = std::fs::read_to_string(&err_path).unwrap_or_default();
-        if let Some(line) = log.lines().find(|l| l.starts_with(prefix)) {
-            break line[prefix.len()..].trim().to_string();
-        }
-        if std::time::Instant::now() > deadline {
-            aggregator.kill().ok();
-            panic!("scd aggregate never printed its address: {log}");
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    };
-
+    let mut aggregator = aggregator(&err_path, &[]).spawn().expect("spawn scd aggregate");
+    let addr = aggregator_addr(&mut aggregator, &err_path);
     let metrics = trace.with_extension("node-metrics.jsonl");
     let spool = trace.with_extension("spool");
     let (stdout, stderr, ok) = run(scd()
@@ -639,6 +631,88 @@ fn ingest_node_metrics_snapshot_every_interval() {
     }
 
     for p in [&trace, &err_path, &metrics] {
+        std::fs::remove_file(p).ok();
+    }
+    std::fs::remove_dir_all(&spool).ok();
+}
+
+/// Starts `scd aggregate` for one node with `extra` flags, its stderr
+/// going to `err_path`.
+fn aggregator(err_path: &std::path::Path, extra: &[&str]) -> Command {
+    let mut cmd = scd();
+    cmd.args(["aggregate", "--listen", "127.0.0.1:0", "--nodes", "1", "--model", "ewma:0.5"])
+        .args(["--k", "1024", "--timeout-secs", "60"])
+        .args(extra)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::fs::File::create(err_path).expect("stderr file"));
+    cmd
+}
+
+/// The address a started aggregator listens on, read from its stderr.
+fn aggregator_addr(aggregator: &mut std::process::Child, err_path: &std::path::Path) -> String {
+    let prefix = "aggregating 1 nodes on ";
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    loop {
+        let log = std::fs::read_to_string(err_path).unwrap_or_default();
+        if let Some(line) = log.lines().find(|l| l.starts_with(prefix)) {
+            return line[prefix.len()..].trim().to_string();
+        }
+        if std::time::Instant::now() > deadline {
+            aggregator.kill().ok();
+            panic!("scd aggregate never printed its address: {log}");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+}
+
+/// `aggregate --metrics FILE` carries the supervisor and detector
+/// counters of the aggregator's global detector, so they count what the
+/// run's reports show.
+#[test]
+fn aggregate_metrics_count_the_supervised_detector() {
+    let trace = temp_trace("agg-metrics");
+    let trace_s = trace.to_str().unwrap();
+    let (_, stderr, ok) = run(scd()
+        .args(["generate", "--profile", "small", "--hours", "0.1", "--interval", "60"])
+        .args(["--out", trace_s, "--seed", "5", "--dos", "2:3:2:30"]));
+    assert!(ok, "generate failed: {stderr}");
+
+    let err_path = trace.with_extension("agg-err");
+    let metrics = trace.with_extension("agg-metrics.jsonl");
+    let report = trace.with_extension("agg-report.txt");
+    let flags = ["--metrics", metrics.to_str().unwrap(), "--report-out", report.to_str().unwrap()];
+    let mut aggregator = aggregator(&err_path, &flags).spawn().expect("spawn scd aggregate");
+    let addr = aggregator_addr(&mut aggregator, &err_path);
+    let spool = trace.with_extension("agg-spool");
+    let (_, stderr, ok) = run(scd()
+        .args(["ingest-node", "--trace", trace_s, "--interval", "60", "--node", "0"])
+        .args(["--nodes", "1", "--connect", &addr, "--k", "1024"])
+        .args(["--spool", spool.to_str().unwrap()]));
+    assert!(ok, "ingest-node failed: {stderr}");
+    assert!(aggregator.wait().expect("aggregate exits").success(), "aggregate failed");
+
+    let reports = std::fs::read_to_string(&report).expect("report file");
+    let emitted = reports.lines().count();
+    assert!(emitted > 2, "{reports}");
+    // The detector counts the intervals it scans: every one past warm-up.
+    let warmed = reports.lines().filter(|l| l.contains(" warm=1 ")).count();
+    assert_eq!(warmed, emitted - 1, "EWMA warms up on the first interval:\n{reports}");
+    let alarms: f64 = reports
+        .lines()
+        .map(|l| {
+            let field = l.split_whitespace().find_map(|f| f.strip_prefix("alarms=")).expect(l);
+            field.split(':').next().unwrap().parse::<f64>().expect(l)
+        })
+        .sum();
+    let snapshots = std::fs::read_to_string(&metrics).expect("metrics file");
+    let last = snapshots.lines().last().expect("snapshot lines");
+    assert_eq!(json_number(last, "scd_supervisor_started_total"), 1.0, "{last}");
+    assert_eq!(json_number(last, "scd_detector_intervals_total"), warmed as f64, "{last}");
+    assert_eq!(json_number(last, "scd_detector_alarms_total"), alarms, "{last}");
+    assert!(alarms > 0.0, "the injected DoS raised no alarm:\n{reports}");
+    assert!(!last.contains("scd_net_agg_detector_restarts_total"), "{last}");
+
+    for p in [&trace, &err_path, &metrics, &report] {
         std::fs::remove_file(p).ok();
     }
     std::fs::remove_dir_all(&spool).ok();

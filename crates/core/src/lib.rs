@@ -45,8 +45,9 @@
 //!   `scd-archive` multi-resolution history of error sketches.
 //! * A fault-tolerance layer for the §6 online deployment: [`checkpoint`]
 //!   (CRC-guarded atomic snapshots of the full detector state),
-//!   [`supervisor`] (panic recovery with checkpoint restarts and a
-//!   lifecycle event stream), and [`streaming`]'s overload policies
+//!   [`supervisor`] (the one supervisor of the streaming detector and
+//!   the distributed aggregator's: panic recovery, checkpoint restarts
+//!   and a lifecycle event stream), and [`streaming`]'s overload policies
 //!   (block / drop / sample, with per-interval shed accounting).
 //!
 //! # Example
@@ -116,7 +117,8 @@ pub use staggered::{StaggeredAlarm, StaggeredDetector, StaggeredSnapshot};
 pub use stream::{segment_records, StreamSegmenter};
 pub use streaming::{CheckpointPolicy, OverloadPolicy, RecordSender, StreamFault, StreamingConfig};
 pub use supervisor::{
-    spawn_supervised, LifecycleEvent, RestartPolicy, SupervisedHandle, SupervisorConfig,
+    spawn_supervised, LifecycleEvent, RestartPolicy, SupervisedDetector, SupervisedHandle,
+    SupervisorConfig,
 };
 pub use telemetry::{
     DetectorMetrics, EngineMetrics, GlrMetrics, PipelineMetrics, StreamMetrics, SupervisorMetrics,

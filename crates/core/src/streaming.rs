@@ -42,9 +42,9 @@
 //!
 //! **Durability** is optional: give [`StreamingConfig::checkpoint`] a path
 //! and a cadence and the detector thread persists a
-//! [`crate::checkpoint::Checkpoint`] atomically every N flushed intervals.
-//! [`crate::supervisor`] builds crash recovery on top of exactly this
-//! file.
+//! [`crate::checkpoint::Checkpoint`] atomically every N flushed intervals;
+//! [`crate::supervisor`] owns that cadence and the crash recovery built
+//! on the file.
 //!
 //! Shutdown: drop the record sender (or call
 //! [`SupervisedHandle::shutdown`](crate::supervisor::SupervisedHandle::shutdown)).
@@ -55,7 +55,7 @@ use crate::channel::{bounded, Receiver, Sender, TrySendError};
 use crate::checkpoint::Checkpoint;
 use crate::detector::{DetectorConfig, DropStats, IntervalReport, SketchChangeDetector};
 use crate::sampling::UpdateSampler;
-use crate::supervisor::LifecycleEvent;
+use crate::supervisor::Supervision;
 use crate::telemetry::PipelineMetrics;
 use scd_hash::SplitMix64;
 use scd_traffic::{FaultPlan, FlowRecord, KeySpec, ValueSpec};
@@ -257,7 +257,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The streaming binner's position in event time — everything the
-/// detector loop owns besides the detector itself.
+/// detector loop owns besides the detector itself; fresh by default.
+#[derive(Default)]
 pub(crate) struct BinnerState {
     /// Records taken from the channel and not yet binned. A restart
     /// carries it over, so a crash loses only the record it hit.
@@ -269,21 +270,9 @@ pub(crate) struct BinnerState {
     pub(crate) interval_idx: Option<u64>,
     /// Records processed so far.
     pub(crate) processed: u64,
-    /// `intervals_processed` at the last checkpoint write.
-    pub(crate) last_checkpoint: u64,
 }
 
 impl BinnerState {
-    pub(crate) fn fresh() -> Self {
-        BinnerState {
-            inbox: VecDeque::new(),
-            current: Vec::new(),
-            interval_idx: None,
-            processed: 0,
-            last_checkpoint: 0,
-        }
-    }
-
     /// Resumes from a checkpoint: the in-flight interval's records are the
     /// checkpoint gap and are gone; position and counters carry over.
     pub(crate) fn from_checkpoint(ck: &Checkpoint) -> Self {
@@ -292,7 +281,6 @@ impl BinnerState {
             current: Vec::new(),
             interval_idx: ck.next_interval,
             processed: ck.processed,
-            last_checkpoint: ck.snapshot.intervals_processed,
         }
     }
 }
@@ -301,31 +289,23 @@ impl BinnerState {
 pub(crate) struct LoopContext {
     pub(crate) config: StreamingConfig,
     pub(crate) counters: Arc<OverloadCounters>,
-    /// Lifecycle events (checkpoint written / degraded).
-    pub(crate) events: Sender<LifecycleEvent>,
     /// Test-only fault injection, threaded through the supervisor.
     pub(crate) fault: Option<FaultPlan>,
 }
 
-/// Why the detector loop returned.
-pub(crate) enum LoopEnd {
-    /// All record senders dropped; final partial interval flushed.
-    InputClosed,
-    /// The report receiver is gone; no point continuing.
-    ReportsGone,
-}
-
 /// The detector loop proper: bin records by event time, flush intervals
-/// through the detector, periodically checkpoint. Runs on the detector
-/// thread; the supervisor calls it inside `catch_unwind` so `detector`
-/// and `binner` live outside and can be rebuilt after a panic.
+/// through the detector, checkpoint at the supervisor's cadence, until
+/// every record sender or the report receiver is gone. Runs on the
+/// detector thread; the supervisor calls it inside `catch_unwind` so
+/// `detector` and `binner` live outside and can be rebuilt after a panic.
 pub(crate) fn run_loop(
     detector: &mut SketchChangeDetector,
     binner: &mut BinnerState,
     ctx: &LoopContext,
+    sup: &mut Supervision,
     records: &Receiver<Msg>,
     reports: &Sender<IntervalReport>,
-) -> LoopEnd {
+) {
     let interval_ms = ctx.config.interval_ms;
     // The inbox first (a restart hands over what the crashed run had
     // taken), then one channel batch at a time.
@@ -355,15 +335,15 @@ pub(crate) fn run_loop(
             }
             binner.current.clear();
             if reports.send(report).is_err() {
-                return LoopEnd::ReportsGone;
+                return;
             }
             for _ in (idx + 1)..t {
                 if reports.send(detector.process_interval(&[])).is_err() {
-                    return LoopEnd::ReportsGone;
+                    return;
                 }
             }
             binner.interval_idx = Some(t);
-            maybe_checkpoint(detector, binner, ctx);
+            sup.maybe_checkpoint(detector, binner.interval_idx, binner.processed);
         }
         // Late records (t < idx) fold into the current interval.
         binner.current.push((
@@ -385,7 +365,7 @@ pub(crate) fn run_loop(
         binner.current.clear();
         binner.interval_idx = binner.interval_idx.map(|t| t + 1);
         let _ = reports.send(report);
-        maybe_checkpoint(detector, binner, ctx);
+        sup.maybe_checkpoint(detector, binner.interval_idx, binner.processed);
     } else if drops != DropStats::default() {
         // No records to process, so the detector is not advanced; the
         // trailing counts ride out on a synthetic counters-only report.
@@ -395,45 +375,6 @@ pub(crate) fn run_loop(
             ..IntervalReport::default()
         };
         let _ = reports.send(report);
-    }
-    LoopEnd::InputClosed
-}
-
-/// Writes a checkpoint if the cadence says so. Write failures degrade
-/// (reported on the event channel) rather than kill the detector: losing
-/// durability is strictly better than losing detection.
-fn maybe_checkpoint(detector: &SketchChangeDetector, binner: &mut BinnerState, ctx: &LoopContext) {
-    let Some(policy) = &ctx.config.checkpoint else { return };
-    let done = detector.intervals_processed() as u64;
-    if done < binner.last_checkpoint + policy.every_intervals.max(1) {
-        return;
-    }
-    let ck = Checkpoint {
-        config: ctx.config.detector.clone(),
-        snapshot: detector.snapshot(),
-        next_interval: binner.interval_idx,
-        processed: binner.processed,
-        staggered: None,
-        glr: None,
-    };
-    match ck.write_atomic(&policy.path) {
-        // Lifecycle events are best-effort (try_send): an undrained event
-        // channel may lose events, never stall detection.
-        Ok(()) => {
-            binner.last_checkpoint = done;
-            if let Some(m) = &ctx.config.metrics {
-                m.supervisor.checkpoints_total.inc();
-            }
-            let _ = ctx.events.try_send(LifecycleEvent::CheckpointWritten { intervals: done });
-        }
-        Err(e) => {
-            if let Some(m) = &ctx.config.metrics {
-                m.supervisor.degraded_total.inc();
-            }
-            let _ = ctx.events.try_send(LifecycleEvent::Degraded {
-                reason: format!("checkpoint write failed: {e}"),
-            });
-        }
     }
 }
 

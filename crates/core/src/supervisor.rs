@@ -1,46 +1,38 @@
-//! Supervised streaming: panic recovery with checkpoint restarts.
+//! Supervised detection: panic recovery with checkpoint restarts.
 //!
-//! On a bare thread a detector panic would surface only at shutdown, and
-//! everything the detector knew would die with it. A monitoring
-//! deployment wants the opposite: the detector is the component *least*
-//! allowed to disappear, precisely because it is the thing watching
-//! everything else.
+//! The detector is the component *least* allowed to disappear, because
+//! it is the thing watching everything else. This module is the one
+//! place that supervises it. It catches panics (`catch_unwind`), backs
+//! off exponentially between restarts within a budget
+//! ([`RestartPolicy`]), recovers from the on-disk [`Checkpoint`] — load,
+//! check the config, restore, or degrade to a fresh start — writes
+//! checkpoints at a fixed cadence, and narrates it all as
+//! [`LifecycleEvent`]s and `scd_supervisor_*` counters.
 //!
-//! [`spawn_supervised`] runs the streaming detector loop
-//! ([`crate::streaming`]) in a supervisor that:
-//!
-//! 1. catches panics (`catch_unwind`) instead of unwinding the thread,
-//! 2. restarts the detector from its last on-disk
-//!    [`Checkpoint`] (or fresh, if none),
-//! 3. backs off exponentially between attempts and gives up after a
-//!    configurable budget, and
-//! 4. narrates everything on a dedicated [`LifecycleEvent`] channel, so
-//!    operators observe restarts instead of discovering them.
-//!
-//! Recovery is consulted at **startup** too, not only after a panic: if a
-//! checkpoint file already exists when [`spawn_supervised`] runs, the
-//! detector resumes from it — so a crashed or cleanly stopped *process*
-//! restarted with the same config picks up where it left off instead of
-//! starting over from interval 0.
-//!
-//! The record channel lives *outside* the supervised region: producers
-//! keep their sender across restarts, and records queued at crash time —
-//! in the channel or in the batch the crashed run had taken from it —
-//! are delivered to the restarted detector. What is lost is the record
-//! being binned when the panic struck, the checkpoint gap — intervals
-//! flushed after the last checkpoint — and the partially accumulated
-//! interval; the restarted detector resumes at the checkpointed position
-//! and re-emits from there, so the report stream has no holes, only a
-//! rewind.
+//! Two drivers run on it, and both consult the checkpoint at startup, so
+//! a restarted *process* picks up where the last one left off.
+//! [`spawn_supervised`] runs the streaming loop ([`crate::streaming`]) on
+//! its own thread. Its record channel lives outside the supervised
+//! region, so records queued at crash time reach the restarted detector;
+//! what is lost is the record being binned, the partial interval and the
+//! checkpoint gap, which the restarted detector re-emits — a rewind,
+//! never a hole. [`SupervisedDetector`] runs a detector fed whole
+//! interval sketches on the caller's thread (the distributed
+//! aggregator); it still holds the interval that panicked, so it
+//! restores its in-memory restore point and retries — no rewind at all.
 
 use crate::channel::{bounded, unbounded, Receiver, Sender};
 use crate::checkpoint::Checkpoint;
-use crate::detector::{IntervalReport, SketchChangeDetector};
+use crate::detector::{DetectorConfig, DetectorSnapshot, IntervalReport, SketchChangeDetector};
 use crate::streaming::{
-    make_front_end, panic_message, run_loop, BinnerState, LoopContext, RecordSender, StreamFault,
-    StreamingConfig,
+    make_front_end, panic_message, run_loop, BinnerState, CheckpointPolicy, LoopContext,
+    RecordSender, StreamFault, StreamingConfig,
 };
+use crate::telemetry::PipelineMetrics;
+use scd_hash::HashRows;
+use scd_sketch::KarySketch;
 use scd_traffic::FaultPlan;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -195,9 +187,145 @@ impl SupervisedHandle {
     }
 }
 
-fn emit(events: &Sender<LifecycleEvent>, event: LifecycleEvent) {
-    // Best-effort: losing an event beats stalling the detector.
-    let _ = events.try_send(event);
+/// The supervision [`spawn_supervised`] and [`SupervisedDetector`]
+/// share: restart budget and backoff, checkpoint recovery and cadence,
+/// lifecycle events and their `scd_supervisor_*` counters.
+pub(crate) struct Supervision {
+    config: DetectorConfig,
+    restart: RestartPolicy,
+    checkpoint: Option<CheckpointPolicy>,
+    metrics: Option<Arc<PipelineMetrics>>,
+    events: Sender<LifecycleEvent>,
+    /// Panics booked against the budget so far.
+    attempts: u32,
+    /// `intervals_processed` at the last checkpoint write (or restore).
+    last_write: u64,
+}
+
+impl Supervision {
+    fn new(
+        config: DetectorConfig,
+        restart: RestartPolicy,
+        checkpoint: Option<CheckpointPolicy>,
+        metrics: Option<Arc<PipelineMetrics>>,
+        events: Sender<LifecycleEvent>,
+    ) -> Self {
+        Supervision { config, restart, checkpoint, metrics, events, attempts: 0, last_write: 0 }
+    }
+
+    /// Counts the event on its `scd_supervisor_*` counter and sends it.
+    /// Best-effort: losing an event beats stalling the detector.
+    fn announce(&self, event: LifecycleEvent) {
+        if let Some(m) = &self.metrics {
+            let counter = match &event {
+                LifecycleEvent::Started => &m.supervisor.started_total,
+                LifecycleEvent::CheckpointWritten { .. } => &m.supervisor.checkpoints_total,
+                LifecycleEvent::Restarted { .. } => &m.supervisor.restarts_total,
+                LifecycleEvent::Degraded { .. } => &m.supervisor.degraded_total,
+                LifecycleEvent::GaveUp { .. } => &m.supervisor.gave_up_total,
+            };
+            counter.inc();
+        }
+        let _ = self.events.try_send(event);
+    }
+
+    /// Re-attaches the metric sink, which is not detector state and is
+    /// never checkpointed, to a fresh or restored detector.
+    fn attach(&self, mut detector: SketchChangeDetector) -> SketchChangeDetector {
+        if let Some(m) = &self.metrics {
+            detector.set_metrics(Arc::clone(&m.detector));
+        }
+        detector
+    }
+
+    /// The detector to start or restart from: restored from the last
+    /// checkpoint when one is configured and usable (returned too, for
+    /// the streaming binner's position), fresh otherwise. An unusable
+    /// file — corrupt, or for a different config — raises `Degraded`.
+    fn recover(&mut self) -> (SketchChangeDetector, Option<Checkpoint>) {
+        let (detector, ck) = match self.load() {
+            Ok(Some((detector, ck))) => (detector, Some(ck)),
+            Ok(None) => (SketchChangeDetector::new(self.config.clone()), None),
+            Err(reason) => {
+                self.announce(LifecycleEvent::Degraded { reason });
+                (SketchChangeDetector::new(self.config.clone()), None)
+            }
+        };
+        self.last_write = ck.as_ref().map_or(0, |ck| ck.snapshot.intervals_processed);
+        (self.attach(detector), ck)
+    }
+
+    /// `Ok(None)` — nothing to resume from; `Err` — a checkpoint exists
+    /// but is unusable.
+    fn load(&self) -> Result<Option<(SketchChangeDetector, Checkpoint)>, String> {
+        let Some(p) = self.checkpoint.as_ref().filter(|p| p.path.exists()) else { return Ok(None) };
+        let ck = Checkpoint::load(&p.path)
+            .map_err(|e| format!("checkpoint unusable, restarting fresh: {e}"))?;
+        if ck.config != self.config {
+            return Err("checkpoint is for a different detector config, restarting fresh".into());
+        }
+        let detector = ck
+            .restore_detector()
+            .map_err(|e| format!("checkpoint restore failed, restarting fresh: {e}"))?;
+        Ok(Some((detector, ck)))
+    }
+
+    /// Books one panic against the budget. `false` — after `GaveUp` —
+    /// once the budget is spent; otherwise sleeps the jittered backoff.
+    fn absorb(&mut self) -> bool {
+        self.attempts += 1;
+        if self.attempts > self.restart.max_restarts {
+            self.announce(LifecycleEvent::GaveUp { attempts: self.attempts - 1 });
+            return false;
+        }
+        let backoff = self.restart.backoff_jittered(self.attempts, self.config.sketch.seed);
+        if let Some(m) = &self.metrics {
+            m.supervisor.backoff_ms_total.add(backoff.as_millis() as u64);
+        }
+        std::thread::sleep(backoff);
+        true
+    }
+
+    fn restarted(&self, detector: &SketchChangeDetector, panic: String) {
+        self.announce(LifecycleEvent::Restarted {
+            attempt: self.attempts,
+            resumed_intervals: detector.intervals_processed() as u64,
+            panic,
+        });
+    }
+
+    /// Writes a checkpoint if the cadence says so. A failed write raises
+    /// `Degraded` rather than killing the detector: losing durability is
+    /// strictly better than losing detection.
+    pub(crate) fn maybe_checkpoint(
+        &mut self,
+        detector: &SketchChangeDetector,
+        next_interval: Option<u64>,
+        processed: u64,
+    ) {
+        let Some(policy) = &self.checkpoint else { return };
+        let done = detector.intervals_processed() as u64;
+        if done < self.last_write + policy.every_intervals.max(1) {
+            return;
+        }
+        let ck = Checkpoint {
+            config: self.config.clone(),
+            snapshot: detector.snapshot(),
+            next_interval,
+            processed,
+            staggered: None,
+            glr: None,
+        };
+        match ck.write_atomic(&policy.path) {
+            Ok(()) => {
+                self.last_write = done;
+                self.announce(LifecycleEvent::CheckpointWritten { intervals: done });
+            }
+            Err(e) => self.announce(LifecycleEvent::Degraded {
+                reason: format!("checkpoint write failed: {e}"),
+            }),
+        }
+    }
 }
 
 /// Spawns a streaming detector under supervision.
@@ -209,143 +337,199 @@ pub fn spawn_supervised(config: SupervisorConfig) -> SupervisedHandle {
     let (sender, record_rx, counters) = make_front_end(&config.stream);
     let (report_tx, report_rx) = unbounded::<IntervalReport>();
     let (event_tx, event_rx) = bounded::<LifecycleEvent>(256);
-    let restart = config.restart;
-    let ctx = LoopContext {
-        config: config.stream,
-        counters,
-        events: event_tx.clone(),
-        fault: config.fault,
-    };
+    let mut sup = Supervision::new(
+        config.stream.detector.clone(),
+        config.restart,
+        config.stream.checkpoint.clone(),
+        config.stream.metrics.clone(),
+        event_tx,
+    );
+    let ctx = LoopContext { config: config.stream, counters, fault: config.fault };
 
     let thread = std::thread::Builder::new()
         .name("scd-supervised-detector".into())
         .spawn(move || {
-            // Process-level resume: consult the configured checkpoint
-            // *before* the first record, so a restarted process continues
-            // where the previous one left off instead of starting over
-            // (and clobbering the old checkpoint at its first write). An
-            // unusable checkpoint degrades to a fresh start, same as on a
-            // mid-run restart.
-            let (mut detector, mut binner) = match recover(&ctx) {
-                Ok(Some(resumed)) => resumed,
-                Ok(None) => fresh_state(&ctx),
-                Err(reason) => {
-                    if let Some(m) = &ctx.config.metrics {
-                        m.supervisor.degraded_total.inc();
-                    }
-                    emit(&event_tx, LifecycleEvent::Degraded { reason });
-                    fresh_state(&ctx)
-                }
-            };
-            if let Some(m) = &ctx.config.metrics {
-                m.supervisor.started_total.inc();
-            }
-            emit(&event_tx, LifecycleEvent::Started);
-            let mut attempts = 0u32;
+            // Recovery runs at startup too, so a restarted process
+            // continues where the previous one left off instead of
+            // starting over (and clobbering the old checkpoint). After a
+            // panic the half-mutated detector and binner are discarded,
+            // all but the inbox of records not yet binned; the stream
+            // rewinds to the last checkpoint (or to the start).
+            let (mut inbox, mut panic) = (VecDeque::new(), None);
             loop {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    run_loop(&mut detector, &mut binner, &ctx, &record_rx, &report_tx)
-                }));
-                match outcome {
-                    Ok(_) => break, // input closed or reports dropped: done
-                    Err(payload) => {
-                        attempts += 1;
-                        if attempts > restart.max_restarts {
-                            if let Some(m) = &ctx.config.metrics {
-                                m.supervisor.gave_up_total.inc();
-                            }
-                            emit(&event_tx, LifecycleEvent::GaveUp { attempts: attempts - 1 });
-                            break;
-                        }
-                        let backoff =
-                            restart.backoff_jittered(attempts, ctx.config.detector.sketch.seed);
-                        if let Some(m) = &ctx.config.metrics {
-                            m.supervisor.backoff_ms_total.add(backoff.as_millis() as u64);
-                        }
-                        std::thread::sleep(backoff);
-                        let panic = panic_message(payload.as_ref());
-                        // Rebuild state: from the last checkpoint when one
-                        // is readable, from scratch otherwise. The
-                        // half-mutated detector/binner from the panicked
-                        // run are discarded either way, all but the
-                        // inbox of records not yet binned.
-                        let inbox = std::mem::take(&mut binner.inbox);
-                        match recover(&ctx) {
-                            Ok(Some((d, b))) => {
-                                detector = d;
-                                binner = b;
-                            }
-                            Ok(None) => {
-                                (detector, binner) = fresh_state(&ctx);
-                            }
-                            Err(reason) => {
-                                if let Some(m) = &ctx.config.metrics {
-                                    m.supervisor.degraded_total.inc();
-                                }
-                                emit(&event_tx, LifecycleEvent::Degraded { reason });
-                                (detector, binner) = fresh_state(&ctx);
-                            }
-                        }
-                        binner.inbox = inbox;
-                        if let Some(m) = &ctx.config.metrics {
-                            m.supervisor.restarts_total.inc();
-                        }
-                        emit(
-                            &event_tx,
-                            LifecycleEvent::Restarted {
-                                attempt: attempts,
-                                resumed_intervals: detector.intervals_processed() as u64,
-                                panic,
-                            },
-                        );
-                    }
+                let (mut detector, ck) = sup.recover();
+                let mut binner =
+                    ck.as_ref().map_or_else(BinnerState::default, BinnerState::from_checkpoint);
+                binner.inbox = inbox;
+                match panic.take() {
+                    None => sup.announce(LifecycleEvent::Started),
+                    Some(panic) => sup.restarted(&detector, panic),
                 }
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    run_loop(&mut detector, &mut binner, &ctx, &mut sup, &record_rx, &report_tx)
+                }));
+                let Err(payload) = outcome else { return binner.processed };
+                if !sup.absorb() {
+                    return binner.processed;
+                }
+                inbox = std::mem::take(&mut binner.inbox);
+                panic = Some(panic_message(payload.as_ref()));
             }
-            binner.processed
         })
         .expect("spawn supervisor thread");
 
     SupervisedHandle { records: sender, reports: report_rx, events: event_rx, thread }
 }
 
-fn fresh_state(ctx: &LoopContext) -> (SketchChangeDetector, BinnerState) {
-    let mut detector = SketchChangeDetector::new(ctx.config.detector.clone());
-    // The metric sink is not detector state and is never checkpointed, so
-    // every rebuild — fresh or restored — re-attaches the same sink.
-    if let Some(m) = &ctx.config.metrics {
-        detector.set_metrics(Arc::clone(&m.detector));
-    }
-    (detector, BinnerState::fresh())
+/// A detector fed whole interval sketches on the caller's thread — the
+/// distributed aggregator's global detector — under the same supervision
+/// as the streaming thread.
+///
+/// It keeps one restore point: the detector state after the last good
+/// interval. A panic restores it and retries the interval, so a restart
+/// is invisible in the reports. The checkpoint file serves only a
+/// restarted *process*, which resumes from it at startup.
+pub struct SupervisedDetector {
+    detector: SketchChangeDetector,
+    restore_point: DetectorSnapshot,
+    sup: Supervision,
+    events: Receiver<LifecycleEvent>,
+    fault: Option<FaultPlan>,
 }
 
-/// Loads the last checkpoint, if checkpointing is configured and a file
-/// exists. `Ok(None)` — nothing to resume from; `Err` — a checkpoint
-/// exists but is unusable (corrupt, or for a different config).
-fn recover(ctx: &LoopContext) -> Result<Option<(SketchChangeDetector, BinnerState)>, String> {
-    let Some(policy) = &ctx.config.checkpoint else {
-        return Ok(None);
-    };
-    if !policy.path.exists() {
-        return Ok(None);
+impl SupervisedDetector {
+    /// Starts the detector, resuming from `checkpoint` when its file is
+    /// usable. `fault` is test-only injection, consulted once per
+    /// interval with the interval's index.
+    ///
+    /// # Panics
+    /// On an invalid detector configuration.
+    pub fn start(
+        config: DetectorConfig,
+        restart: RestartPolicy,
+        checkpoint: Option<CheckpointPolicy>,
+        metrics: Option<Arc<PipelineMetrics>>,
+        fault: Option<FaultPlan>,
+    ) -> SupervisedDetector {
+        let (event_tx, events) = unbounded();
+        let mut sup = Supervision::new(config, restart, checkpoint, metrics, event_tx);
+        let (detector, _) = sup.recover();
+        sup.announce(LifecycleEvent::Started);
+        let restore_point = detector.snapshot();
+        SupervisedDetector { detector, restore_point, sup, events, fault }
     }
-    let ck = Checkpoint::load(&policy.path)
-        .map_err(|e| format!("checkpoint unusable, restarting fresh: {e}"))?;
-    if ck.config != ctx.config.detector {
-        return Err("checkpoint is for a different detector config, restarting fresh".into());
+
+    /// Intervals emitted so far, counting those a resumed checkpoint
+    /// covers: the index of the next interval.
+    pub fn emitted(&self) -> u64 {
+        self.detector.intervals_processed() as u64
     }
-    let mut detector = ck
-        .restore_detector()
-        .map_err(|e| format!("checkpoint restore failed, restarting fresh: {e}"))?;
-    if let Some(m) = &ctx.config.metrics {
-        detector.set_metrics(Arc::clone(&m.detector));
+
+    /// Panics absorbed by restarts so far.
+    pub fn restarts(&self) -> u32 {
+        self.sup.attempts.min(self.sup.restart.max_restarts)
     }
-    let binner = BinnerState::from_checkpoint(&ck);
-    Ok(Some((detector, binner)))
+
+    /// The hash family the observed sketches must be built over.
+    pub fn rows(&self) -> &Arc<HashRows> {
+        self.detector.rows()
+    }
+
+    /// Lifecycle events announced since the last call.
+    pub fn take_events(&mut self) -> Vec<LifecycleEvent> {
+        std::iter::from_fn(|| self.events.try_recv()).collect()
+    }
+
+    /// Runs one interval through the detector. A panic restores the
+    /// restore point and retries, up to the restart budget; `None` once
+    /// the budget is spent (after `GaveUp`).
+    pub fn observe(&mut self, observed: &KarySketch, keys: &[u64]) -> Option<IntervalReport> {
+        loop {
+            let n = self.emitted();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(fault) = &self.fault {
+                    fault.before_record(n);
+                }
+                self.detector.process_observed(observed, keys.to_vec())
+            }));
+            match outcome {
+                Ok(report) => {
+                    self.restore_point = self.detector.snapshot();
+                    self.sup.maybe_checkpoint(&self.detector, Some(n + 1), n + 1);
+                    return Some(report);
+                }
+                Err(payload) => {
+                    if !self.sup.absorb() {
+                        return None;
+                    }
+                    let restored = SketchChangeDetector::restore(
+                        self.sup.config.clone(),
+                        self.restore_point.clone(),
+                    )
+                    .expect("the restore point is a snapshot of this detector");
+                    self.detector = self.sup.attach(restored);
+                    self.sup.restarted(&self.detector, panic_message(payload.as_ref()));
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::KeyStrategy;
+    use scd_forecast::{ModelSpec, ModelState};
+    use scd_sketch::SketchConfig;
+
+    #[test]
+    fn supervised_detector_keeps_one_restore_point() {
+        let config = DetectorConfig {
+            sketch: SketchConfig { h: 3, k: 256, seed: 5 },
+            model: ModelSpec::Ewma { alpha: 0.5 },
+            threshold: 0.05,
+            key_strategy: KeyStrategy::TwoPass,
+        };
+        let restart = RestartPolicy { max_restarts: 1, backoff_base_ms: 1, backoff_cap_ms: 1 };
+        let fault = FaultPlan::panic_at(30, "at interval 30");
+        let mut reference = SketchChangeDetector::new(config.clone());
+        let mut supervised = SupervisedDetector::start(config, restart, None, None, Some(fault));
+        for t in 0..31u64 {
+            let items: Vec<(u64, f64)> =
+                (0..50u64).map(|k| (k, (100 + (k * 7 + t * 13) % 90) as f64)).collect();
+            let mut observed = KarySketch::with_rows(Arc::clone(supervised.rows()));
+            for &(key, value) in &items {
+                observed.update(key, value);
+            }
+            let keys: Vec<u64> = items.iter().map(|&(key, _)| key).collect();
+            if t == 30 {
+                // Thirty intervals in, the one restore point is the state
+                // after the last of them: EWMA's single forecast sketch,
+                // not thirty retained interval sketches.
+                assert_eq!(supervised.restore_point.intervals_processed, 30);
+                assert!(matches!(
+                    supervised.restore_point.model,
+                    ModelState::Ewma { forecast: Some(_) }
+                ));
+            }
+            // Interval 30 panics once; the retry from the restore point
+            // reports exactly what the reference does.
+            let expect = reference.process_interval(&items);
+            assert_eq!(supervised.observe(&observed, &keys), Some(expect), "interval {t}");
+        }
+        assert_eq!(supervised.restarts(), 1);
+        assert_eq!(
+            supervised.take_events(),
+            vec![
+                LifecycleEvent::Started,
+                LifecycleEvent::Restarted {
+                    attempt: 1,
+                    resumed_intervals: 30,
+                    panic: "injected fault: at interval 30".into(),
+                },
+            ]
+        );
+    }
 
     #[test]
     fn backoff_schedule_doubles_from_base() {

@@ -31,11 +31,11 @@
 use crate::clock::Clock;
 use crate::frame::{Frame, FrameError, VERSION};
 use crate::metrics::NetMetrics;
-use crate::supervise::{CheckpointEvery, SupervisedDetector};
 use crate::NetError;
 use scd_core::channel::{bounded, Receiver, Sender};
 use scd_core::detector::{DetectorConfig, IntervalReport};
-use scd_core::supervisor::RestartPolicy;
+use scd_core::supervisor::{LifecycleEvent, RestartPolicy, SupervisedDetector};
+use scd_core::CheckpointPolicy;
 use scd_hash::HashRows;
 use scd_sketch::{wire, KarySketch};
 use scd_traffic::FaultPlan;
@@ -67,14 +67,15 @@ pub struct AggregatorConfig {
     /// Time source for `grace`, `node_deadline` and `run_timeout` (the
     /// `tick` poll cadence always sleeps in real time).
     pub clock: Clock,
-    /// Optional detector checkpointing (enables mid-stream restart
-    /// resume, exactly like the PR-1 streaming supervisor).
-    pub checkpoint: Option<CheckpointEvery>,
+    /// Optional detector checkpointing: a restarted aggregator process
+    /// resumes from the file.
+    pub checkpoint: Option<CheckpointPolicy>,
     /// Restart budget for absorbed detector panics.
     pub restart: RestartPolicy,
     /// Test-only detector fault injection (panic/stall per interval).
     pub fault: Option<FaultPlan>,
-    /// Optional metric sink.
+    /// Optional metric sink; the detector and its supervisor report
+    /// through [`NetMetrics::pipeline`].
     pub metrics: Option<Arc<NetMetrics>>,
 }
 
@@ -125,6 +126,8 @@ pub struct AggregateSummary {
     /// Interval index the detector resumed from (0 unless a usable
     /// checkpoint existed at startup).
     pub resumed_from: u64,
+    /// The detector supervisor's lifecycle events, in order.
+    pub events: Vec<LifecycleEvent>,
 }
 
 /// One node's contribution to one interval.
@@ -178,12 +181,13 @@ impl Aggregator {
     /// out. Node loss is *not* an error — it produces recovered or
     /// flagged-partial intervals.
     pub fn run(self) -> Result<AggregateSummary, NetError> {
-        let mut detector = SupervisedDetector::new(
+        let mut detector = SupervisedDetector::start(
             self.config.detector.clone(),
             self.config.restart,
             self.config.checkpoint.clone(),
+            self.config.metrics.as_ref().map(|m| Arc::clone(&m.pipeline)),
             self.config.fault.clone(),
-        )?;
+        );
         let resumed_from = detector.emitted();
         let rows = Arc::clone(detector.rows());
         let (tx, rx) = bounded::<Event>(1024);
@@ -212,6 +216,7 @@ impl Aggregator {
             timed_out,
             detector_restarts: detector.restarts(),
             resumed_from,
+            events: detector.take_events(),
         })
     }
 }
@@ -424,14 +429,9 @@ fn emit_one(
             metrics.aggregator.full_intervals_total.inc();
         }
     });
-    let before = detector.restarts();
-    let report = detector.observe(observed, keys)?;
-    let after = detector.restarts();
-    if after > before {
-        bump(config, |m| {
-            m.aggregator.detector_restarts_total.add(u64::from(after - before));
-        });
-    }
+    let report = detector
+        .observe(&observed, &keys)
+        .ok_or(NetError::DetectorGaveUp { attempts: detector.restarts() })?;
     Ok(EmittedInterval { interval: t, report, missing, recovered })
 }
 

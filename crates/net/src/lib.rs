@@ -15,16 +15,18 @@
 //! * [`Aggregator`] — the combine-and-detect point: per-node liveness
 //!   deadlines, a straggler grace window, `(node, interval)` dedup, and a
 //!   three-step degradation ladder (wait → recover from parity → emit an
-//!   explicitly flagged partial — never silently wrong).
-//! * [`SupervisedDetector`] — the aggregator's one global detector under
-//!   the same panic-absorbing, checkpoint-resuming supervision the PR-1
-//!   streaming pipeline uses, so detection restarts mid-stream.
+//!   explicitly flagged partial — never silently wrong). Its one global
+//!   detector runs under `scd_core::SupervisedDetector`, the supervision
+//!   `scd stream` uses too: a panic restores the state after the last
+//!   good interval and retries it, and a restarted process resumes from
+//!   the checkpoint file.
 //! * [`Frame`] — the CRC-guarded, length-prefixed wire protocol, hostile
 //!   input treated the same way as every other decoder in the workspace.
 //! * [`Clock`] — the aggregator's time source: real time in production,
 //!   a manual clock that tests hold or advance.
 //! * [`NetMetrics`] — the plane's `scd-obs` metric inventory (lag,
-//!   retries, reconnects, recovered/partial intervals).
+//!   retries, reconnects, recovered/partial intervals), plus the pipeline
+//!   inventory the aggregator's detector and supervisor report through.
 //!
 //! Everything is `std`-only, like the rest of the workspace.
 //!
@@ -52,7 +54,6 @@ pub mod frame;
 pub mod metrics;
 pub mod sender;
 pub mod spool;
-pub mod supervise;
 
 pub use aggregator::{AggregateSummary, Aggregator, AggregatorConfig, EmittedInterval};
 pub use clock::Clock;
@@ -60,7 +61,6 @@ pub use frame::{Frame, FrameError, MAX_FRAME, VERSION};
 pub use metrics::{AggregatorMetrics, NetMetrics, SenderMetrics};
 pub use sender::{IngestNode, NodeConfig, NodeSummary};
 pub use spool::SpoolDir;
-pub use supervise::{CheckpointEvery, SupervisedDetector};
 
 /// Errors of the distributed plane.
 #[derive(Debug)]

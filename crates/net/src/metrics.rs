@@ -4,6 +4,7 @@
 //! operator can see lag, retries, reconnects and recovered intervals
 //! without reading logs.
 
+use scd_core::PipelineMetrics;
 use scd_obs::{Counter, Gauge, Registry};
 use std::sync::Arc;
 
@@ -47,8 +48,6 @@ pub struct AggregatorMetrics {
     pub nodes_down: Arc<Gauge>,
     /// Deepest emit lag observed: buffered-but-unemittable intervals.
     pub max_lag: Arc<Gauge>,
-    /// Detector panics absorbed by the aggregator's supervisor.
-    pub detector_restarts_total: Arc<Counter>,
 }
 
 /// One handle wiring the distributed plane to a [`Registry`]. A process
@@ -60,11 +59,21 @@ pub struct NetMetrics {
     pub sender: SenderMetrics,
     /// Aggregator-side plane metrics.
     pub aggregator: AggregatorMetrics,
+    /// The pipeline inventory the aggregator's detector and its
+    /// supervisor report through (`scd_detector_*`, `scd_supervisor_*`).
+    pub pipeline: Arc<PipelineMetrics>,
 }
 
 impl NetMetrics {
-    /// Registers the inventory against `registry`. Call once per process.
+    /// Registers the plane's inventory and the pipeline inventory against
+    /// `registry`. Call once per process.
     pub fn register(registry: &Registry) -> Arc<Self> {
+        Self::register_with(registry, PipelineMetrics::register(registry))
+    }
+
+    /// Registers the plane's inventory against a `registry` that already
+    /// holds `pipeline`.
+    pub fn register_with(registry: &Registry, pipeline: Arc<PipelineMetrics>) -> Arc<Self> {
         let sender = SenderMetrics {
             frames_sent_total: registry
                 .counter("scd_net_frames_sent_total", "interval frames sent (first attempts)"),
@@ -101,11 +110,7 @@ impl NetMetrics {
             nodes_down: registry
                 .gauge("scd_net_agg_nodes_down", "nodes past their liveness deadline"),
             max_lag: registry.gauge("scd_net_agg_max_lag", "buffered intervals not yet emittable"),
-            detector_restarts_total: registry.counter(
-                "scd_net_agg_detector_restarts_total",
-                "detector panics absorbed by the aggregator supervisor",
-            ),
         };
-        Arc::new(NetMetrics { sender, aggregator })
+        Arc::new(NetMetrics { sender, aggregator, pipeline })
     }
 }

@@ -8,16 +8,15 @@
 //! * losing two (adjacent-coverage) nodes yields an explicitly flagged
 //!   partial whose report is exactly the detection over the surviving
 //!   shards — degraded, never silently wrong;
-//! * detector panics at the aggregator are absorbed: restore from
-//!   checkpoint, replay, resume mid-stream with unchanged output.
+//! * detector panics at the aggregator are absorbed: restore the state
+//!   after the last good interval and retry, with unchanged output;
+//! * checkpoint faults — a corrupt file at startup, an unwritable path —
+//!   degrade visibly and leave the reports unchanged.
 
-use scd_core::supervisor::RestartPolicy;
-use scd_core::{DetectorConfig, KeyStrategy, SketchChangeDetector};
+use scd_core::supervisor::{LifecycleEvent, RestartPolicy, SupervisedDetector};
+use scd_core::{CheckpointPolicy, DetectorConfig, KeyStrategy, SketchChangeDetector};
 use scd_forecast::ModelSpec;
-use scd_net::{
-    AggregateSummary, Aggregator, AggregatorConfig, CheckpointEvery, IngestNode, NodeConfig,
-    SupervisedDetector,
-};
+use scd_net::{AggregateSummary, Aggregator, AggregatorConfig, IngestNode, NodeConfig};
 use scd_sketch::SketchConfig;
 use scd_traffic::{shard_of_key, FaultPlan, NetFaultPlan};
 use std::path::PathBuf;
@@ -343,7 +342,7 @@ fn detector_panics_restart_from_checkpoint_with_unchanged_reports() {
         AggregatorConfig {
             grace: Duration::from_secs(2),
             node_deadline: Duration::from_secs(10),
-            checkpoint: Some(CheckpointEvery { path: ck_path.clone(), every: 2 }),
+            checkpoint: Some(CheckpointPolicy { path: ck_path.clone(), every_intervals: 2 }),
             restart: RestartPolicy { max_restarts: 3, backoff_base_ms: 1, backoff_cap_ms: 5 },
             fault: Some(FaultPlan::panic_at(3, "injected detector panic")),
             ..AggregatorConfig::new(detector_config(), NODES)
@@ -369,15 +368,15 @@ fn supervised_detector_resumes_from_checkpoint_at_startup() {
         std::env::temp_dir().join(format!("scd-net-test-resume-{}.ck", std::process::id()));
     let _ = std::fs::remove_file(&ck_path);
     let config = detector_config();
-    let every = CheckpointEvery { path: ck_path.clone(), every: 2 };
+    let every = CheckpointPolicy { path: ck_path.clone(), every_intervals: 2 };
     let mut reference = SketchChangeDetector::new(config.clone());
-    let mut first = SupervisedDetector::new(
+    let mut first = SupervisedDetector::start(
         config.clone(),
         RestartPolicy::default(),
         Some(every.clone()),
         None,
-    )
-    .expect("fresh");
+        None,
+    );
     let sketch_of = |updates: &[(u64, f64)], rows: &std::sync::Arc<scd_hash::HashRows>| {
         let mut s = scd_sketch::KarySketch::with_rows(std::sync::Arc::clone(rows));
         let mut keys = Vec::new();
@@ -394,21 +393,118 @@ fn supervised_detector_resumes_from_checkpoint_at_startup() {
     for t in 0..4u64 {
         let updates = interval_updates(t);
         let (s, keys) = sketch_of(&updates, first.rows());
-        let got = first.observe(s, keys).expect("observe");
+        let got = first.observe(&s, &keys).expect("observe");
         let expect = reference.process_interval(&updates);
         assert_eq!(got, expect);
     }
     drop(first);
     // A restarted process resumes at interval 4 and stays bit-identical.
-    let mut second = SupervisedDetector::new(config, RestartPolicy::default(), Some(every), None)
-        .expect("resumed");
+    let mut second =
+        SupervisedDetector::start(config, RestartPolicy::default(), Some(every), None, None);
     assert_eq!(second.emitted(), 4, "startup must consult the checkpoint");
     for t in 4..INTERVALS {
         let updates = interval_updates(t);
         let (s, keys) = sketch_of(&updates, second.rows());
-        let got = second.observe(s, keys).expect("observe");
+        let got = second.observe(&s, &keys).expect("observe");
         let expect = reference.process_interval(&updates);
         assert_eq!(got, expect, "resumed detector diverged at interval {t}");
     }
     let _ = std::fs::remove_file(&ck_path);
+}
+
+/// Asserts every emitted report equals the single-box reference.
+fn assert_matches_single_box(summary: &AggregateSummary) {
+    assert_no_gaps(summary);
+    let reference = reference_reports(|_| true);
+    for (emitted, expect) in summary.intervals.iter().zip(&reference) {
+        assert_eq!(emitted.report, *expect, "interval {} diverged", emitted.interval);
+    }
+}
+
+fn healthy_config() -> AggregatorConfig {
+    AggregatorConfig {
+        grace: Duration::from_secs(2),
+        node_deadline: Duration::from_secs(10),
+        ..AggregatorConfig::new(detector_config(), NODES)
+    }
+}
+
+#[test]
+fn corrupt_checkpoint_at_startup_degrades_to_a_fresh_start() {
+    let ck_path =
+        std::env::temp_dir().join(format!("scd-net-test-corrupt-{}.ck", std::process::id()));
+    std::fs::write(&ck_path, b"SCDCKPT1 but not a checkpoint").expect("plant corrupt file");
+    let summary = run_plane(
+        "corrupt-ck",
+        &[0, 1, 2],
+        |_| None,
+        AggregatorConfig {
+            checkpoint: Some(CheckpointPolicy { path: ck_path.clone(), every_intervals: 100 }),
+            ..healthy_config()
+        },
+    );
+    assert_eq!(summary.resumed_from, 0, "a corrupt checkpoint must not be trusted");
+    assert!(
+        matches!(summary.events.first(), Some(LifecycleEvent::Degraded { .. })),
+        "the corrupt file must surface as Degraded before the start: {:?}",
+        summary.events
+    );
+    assert!(summary.events.contains(&LifecycleEvent::Started));
+    assert_matches_single_box(&summary);
+    let _ = std::fs::remove_file(&ck_path);
+}
+
+#[test]
+fn unwritable_checkpoint_path_degrades_and_completes() {
+    let ck_path = std::env::temp_dir()
+        .join(format!("scd-net-test-missing-dir-{}", std::process::id()))
+        .join("agg.ck");
+    let summary = run_plane(
+        "unwritable-ck",
+        &[0, 1, 2],
+        |_| None,
+        AggregatorConfig {
+            checkpoint: Some(CheckpointPolicy { path: ck_path.clone(), every_intervals: 2 }),
+            ..healthy_config()
+        },
+    );
+    // A failed write is retried at the next interval, so every interval
+    // from the first due write on raises its own Degraded.
+    let (first, rest) = summary.events.split_first().expect("events");
+    assert_eq!(*first, LifecycleEvent::Started);
+    assert_eq!(rest.len() as u64, INTERVALS - 1, "{:?}", summary.events);
+    assert!(
+        rest.iter().all(|e| matches!(
+            e,
+            LifecycleEvent::Degraded { reason } if reason.contains("checkpoint write failed")
+        )),
+        "every due write must degrade: {:?}",
+        summary.events
+    );
+    assert!(!ck_path.exists());
+    assert_matches_single_box(&summary);
+}
+
+#[test]
+fn panic_without_checkpoint_retries_from_the_restore_point() {
+    let summary = run_plane(
+        "panic-no-ck",
+        &[0, 1, 2],
+        |_| None,
+        AggregatorConfig {
+            restart: RestartPolicy { max_restarts: 3, backoff_base_ms: 1, backoff_cap_ms: 5 },
+            fault: Some(FaultPlan::panic_at(5, "injected detector panic")),
+            ..healthy_config()
+        },
+    );
+    assert_eq!(summary.detector_restarts, 1);
+    assert!(
+        summary.events.iter().any(|e| matches!(
+            e,
+            LifecycleEvent::Restarted { attempt: 1, resumed_intervals: 5, .. }
+        )),
+        "the restart must resume at the failed interval: {:?}",
+        summary.events
+    );
+    assert_matches_single_box(&summary);
 }
